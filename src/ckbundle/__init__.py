@@ -3,116 +3,15 @@ Smith normal forms, K-theory groups, mapping-torus homology, Alexander
 polynomials and shift-equivalence certificates, all over arbitrary-precision
 integers."""
 
-from .abelian import FgAbelianGroup, cokernel, direct_sum, format_group, is_isomorphic
-from .bundle import (
-    CKFunctorImage,
-    ComparisonVerdict,
-    NormalizedMonodromy,
-    Outcome,
-    TorusBundle,
-    alexander_polynomial,
-    ck_functor,
-    compare_bundles,
-    h1,
-    make_bundle,
-    nonnegative_representative,
-    normalize_monodromy,
-    random_unimodular,
-    theorem1_check,
-)
-from .ck import (
-    CKDescriptor,
-    DegenerateRelations,
-    NotNonnegative,
-    bowen_franks,
-    edge_dilation,
-    is_irreducible,
-    is_primitive,
-    k0,
-    k1,
-    make_descriptor,
-)
-from .intmat import (
-    IntMatrix,
-    IntPolynomial,
-    NotUnimodular,
-    SmithDecomposition,
-    charpoly,
-    det,
-    kernel_basis,
-    matmul,
-    matpow,
-    smith_normal_form,
-    trace,
-    unimodular_inverse,
-)
-from .sft import (
-    ConjugacyResult,
-    ConjugacyStatus,
-    SEWitness,
-    conjugacy_search,
-    conjugate,
-    search_se_witness,
-    se_obstruction,
-    trace_sequence,
-    unimodular_words,
-    verify_elementary_sse,
-    verify_se_witness,
-)
+from . import abelian, bundle, ck, intmat, sft
+from .abelian import *  # noqa: F401,F403
+from .bundle import *  # noqa: F401,F403
+from .ck import *  # noqa: F401,F403
+from .intmat import *  # noqa: F401,F403
+from .sft import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CKDescriptor",
-    "CKFunctorImage",
-    "ComparisonVerdict",
-    "ConjugacyResult",
-    "ConjugacyStatus",
-    "DegenerateRelations",
-    "FgAbelianGroup",
-    "IntMatrix",
-    "IntPolynomial",
-    "NormalizedMonodromy",
-    "NotNonnegative",
-    "NotUnimodular",
-    "Outcome",
-    "SEWitness",
-    "SmithDecomposition",
-    "TorusBundle",
-    "alexander_polynomial",
-    "bowen_franks",
-    "charpoly",
-    "ck_functor",
-    "cokernel",
-    "compare_bundles",
-    "conjugacy_search",
-    "conjugate",
-    "det",
-    "direct_sum",
-    "edge_dilation",
-    "format_group",
-    "h1",
-    "is_irreducible",
-    "is_isomorphic",
-    "is_primitive",
-    "k0",
-    "k1",
-    "kernel_basis",
-    "make_bundle",
-    "make_descriptor",
-    "matmul",
-    "matpow",
-    "nonnegative_representative",
-    "normalize_monodromy",
-    "random_unimodular",
-    "search_se_witness",
-    "se_obstruction",
-    "smith_normal_form",
-    "theorem1_check",
-    "trace",
-    "trace_sequence",
-    "unimodular_inverse",
-    "unimodular_words",
-    "verify_elementary_sse",
-    "verify_se_witness",
-]
+__all__ = list(
+    dict.fromkeys(name for m in (abelian, bundle, ck, intmat, sft) for name in m.__all__)
+)

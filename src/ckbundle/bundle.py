@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import ck, sft
-from .abelian import FgAbelianGroup, cokernel, direct_sum, format_group, is_isomorphic
+from .abelian import FgAbelianGroup, cokernel
 from .intmat import (
     IntMatrix,
     IntPolynomial,
@@ -95,12 +95,14 @@ def nonnegative_representative(
     return None
 
 
+def _z_plus(g: FgAbelianGroup) -> FgAbelianGroup:
+    """Z + g; adding a free summand keeps the divisor chain canonical."""
+    return FgAbelianGroup(g.free_rank + 1, g.invariant_factors)
+
+
 def h1(b: TorusBundle) -> FgAbelianGroup:
     """First homology of the bundle: Z + coker(A - I) in canonical form."""
-    a = b.monodromy
-    return direct_sum(
-        FgAbelianGroup.free(1), cokernel(a - IntMatrix.identity(b.dimension))
-    )
+    return _z_plus(cokernel(b.monodromy - IntMatrix.identity(b.dimension)))
 
 
 def alexander_polynomial(b: TorusBundle) -> IntPolynomial:
@@ -122,11 +124,15 @@ def ck_functor(b: TorusBundle) -> CKFunctorImage:
     """Object map of the bundle-to-algebra functor: normalize the monodromy,
     then read off K0 and K1."""
     normalized = normalize_monodromy(b)
+    k0 = ck.k0(normalized.matrix)
     return CKFunctorImage(
-        normalized=normalized,
-        k0=ck.k0(normalized.matrix),
-        k1=ck.k1(normalized.matrix),
+        normalized=normalized, k0=k0, k1=FgAbelianGroup.free(k0.free_rank)
     )
+
+
+def _theorem1_holds(h_1: FgAbelianGroup, k_0: FgAbelianGroup) -> bool:
+    """Theorem 1: H1 of the bundle is Z + K0 of its monodromy."""
+    return h_1 == _z_plus(k_0)
 
 
 def theorem1_check(b: TorusBundle) -> bool:
@@ -135,10 +141,10 @@ def theorem1_check(b: TorusBundle) -> bool:
 
     Evaluating K0 on the raw matrix keeps this an identity for every sign of
     the trace (a flipped matrix can change K0, e.g. at -I). A false return
-    therefore indicates a genuine bug and is surfaced, never swallowed.
+    therefore indicates a genuine bug and is surfaced, never swallowed. H1
+    (from A - I) and K0 (from I - A^t) come from two independent Smith forms.
     """
-    z_plus_k0 = direct_sum(FgAbelianGroup.free(1), ck.k0(b.monodromy))
-    return is_isomorphic(h1(b), z_plus_k0)
+    return _theorem1_holds(h1(b), ck.k0(b.monodromy))
 
 
 class Outcome(Enum):
@@ -162,31 +168,26 @@ def compare_bundles(
 ) -> ComparisonVerdict:
     """Distinguish or identify two bundles of the same fiber dimension.
 
-    Distinct requires an invariant mismatch (K0/K1 of the functor images, or
+    Distinct requires an invariant mismatch (K0 of the functor images, or
     H1); Homeomorphic requires an explicit unimodular conjugator between the
     monodromies, found by bounded search; anything else is Inconclusive.
+
+    K0 is used only when both monodromies were normalized the same way: with
+    one side sign-flipped the two images are the K-theory of +A and -B, which
+    need not agree even for homeomorphic bundles (M against M^-1).
     """
     if b1.dimension != b2.dimension:
         raise ValueError(
             f"cannot compare bundles of fiber dimension {b1.dimension} and {b2.dimension}"
         )
-    f1, f2 = ck_functor(b1), ck_functor(b2)
-    if not is_isomorphic(f1.k0, f2.k0):
-        return ComparisonVerdict(
-            Outcome.DISTINCT,
-            witness=f"K0: {format_group(f1.k0)} vs {format_group(f2.k0)}",
-        )
-    if not is_isomorphic(f1.k1, f2.k1):
-        return ComparisonVerdict(
-            Outcome.DISTINCT,
-            witness=f"K1: {format_group(f1.k1)} vs {format_group(f2.k1)}",
-        )
-    h_1, h_2 = h1(b1), h1(b2)
-    if not is_isomorphic(h_1, h_2):
-        return ComparisonVerdict(
-            Outcome.DISTINCT,
-            witness=f"H1: {format_group(h_1)} vs {format_group(h_2)}",
-        )
+    if search_depth < 0:
+        raise ValueError(f"search depth must be >= 0, got {search_depth}")
+    rungs = [("H1", h1)]
+    if normalize_monodromy(b1).flipped == normalize_monodromy(b2).flipped:
+        rungs.insert(0, ("K0", lambda b: ck_functor(b).k0))
+    difference = sft._first_difference(b1, b2, rungs)
+    if difference is not None:
+        return ComparisonVerdict(Outcome.DISTINCT, witness=difference)
     result = sft.conjugacy_search(b1.monodromy, b2.monodromy, search_depth)
     if result.status is sft.ConjugacyStatus.CONJUGATE:
         return ComparisonVerdict(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup, cokernel
-from .intmat import IntMatrix, kernel_basis
+from .intmat import IntMatrix
 
 __all__ = [
     "NotNonnegative",
@@ -75,11 +75,11 @@ def k0(a: IntMatrix) -> FgAbelianGroup:
 
 
 def k1(a: IntMatrix) -> FgAbelianGroup:
-    """K1 invariant: the kernel of (I - a^t), always free."""
+    """K1 invariant: the kernel of (I - a^t), free of the rank of K0's free
+    part (rank-nullity on the one Smith form of I - a^t)."""
     if not a.is_square:
         raise ValueError(f"k1 requires a square matrix, got {a.shape}")
-    rank = len(kernel_basis(IntMatrix.identity(a.rows) - a.transpose()))
-    return FgAbelianGroup.free(rank)
+    return FgAbelianGroup.free(k0(a).free_rank)
 
 
 def bowen_franks(a: IntMatrix) -> FgAbelianGroup:

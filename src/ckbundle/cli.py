@@ -21,6 +21,31 @@ class ParseError(ValueError):
     """Raised for malformed matrix input."""
 
 
+def _digit_limit() -> int:
+    """Longest decimal string int() converts (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(where: str, digits: int) -> ParseError:
+    return ParseError(
+        f"{where}: integer of {digits} digits exceeds the limit of {_digit_limit()} digits"
+    )
+
+
+class _LongInt:
+    """A JSON integer too long to convert, kept as its digit count."""
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+
+def _json_int(token: str) -> int | _LongInt:
+    try:
+        return int(token)
+    except ValueError:
+        return _LongInt(len(token.lstrip("-")))
+
+
 def parse_matrix(text: str) -> IntMatrix:
     """Parse a matrix from either plain text (one whitespace-separated row
     per line) or a JSON object with a "rows" key."""
@@ -39,6 +64,9 @@ def parse_matrix(text: str) -> IntMatrix:
             try:
                 row.append(int(token, 10))
             except ValueError:
+                digits = token.lstrip("+-").replace("_", "")
+                if digits.isdecimal() and 0 < _digit_limit() < len(digits):
+                    raise _too_long(f"line {lineno}", len(digits)) from None
                 raise ParseError(f"line {lineno}: {token!r} is not an integer") from None
         if width is None:
             width = len(row)
@@ -52,7 +80,7 @@ def parse_matrix(text: str) -> IntMatrix:
 
 def _parse_json_matrix(text: str) -> IntMatrix:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "rows" not in obj:
@@ -66,6 +94,8 @@ def _parse_json_matrix(text: str) -> IntMatrix:
         if len(row) != len(rows[0]):
             raise ParseError(f"row {i}: expected {len(rows[0])} entries, got {len(row)}")
         for x in row:
+            if isinstance(x, _LongInt):
+                raise _too_long(f"row {i}", x.digits)
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ParseError(f"row {i}: {x!r} is not an integer")
     return IntMatrix(rows)
@@ -146,14 +176,14 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
     warnings = []
     d = det(m)
     nonneg = m.is_nonnegative
-    unimodular = d in (1, -1)
+    k0 = ck.k0(m)
     normalized = h_1 = alexander = thm1 = None
-    if unimodular:
-        b = bundle.make_bundle(m)
+    if d in (1, -1):
+        b = bundle.TorusBundle(monodromy=m, dimension=m.rows)
         normalized = bundle.normalize_monodromy(b).flipped
         h_1 = bundle.h1(b)
         alexander = bundle.alexander_polynomial(b)
-        thm1 = bundle.theorem1_check(b)
+        thm1 = bundle._theorem1_holds(h_1, k0)
     else:
         warnings.append(
             f"determinant {d} is not +/-1: bundle fields (h1, alexander, "
@@ -167,9 +197,10 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
             det=d,
             trace=trace(m),
             normalized=normalized,
-            k0=ck.k0(m),
-            k1=ck.k1(m),
-            bowen_franks=ck.bowen_franks(m),
+            k0=k0,
+            k1=FgAbelianGroup.free(k0.free_rank),
+            # coker(I - A) and coker(I - A^t) share one Smith diagonal
+            bowen_franks=k0,
             h1=h_1,
             alexander=alexander,
             irreducible=ck.is_irreducible(m) if nonneg else None,
@@ -289,8 +320,12 @@ def _cmd_dilate(args) -> int:
 def _cmd_se_search(args) -> int:
     a = _read_matrix(args.matrix_a)
     b = _read_matrix(args.matrix_b)
-    witness = sft.search_se_witness(a, b, max_lag=args.max_lag, entry_bound=args.entry_bound)
+    sft._check_se_search(a, b, args.max_lag, args.entry_bound)
+    # a verified witness rules out an obstruction, so search only without one
     obstruction = sft.se_obstruction(a, b)
+    witness = None
+    if obstruction is None:
+        witness = sft.search_se_witness(a, b, max_lag=args.max_lag, entry_bound=args.entry_bound)
     obj = {
         "witness": None
         if witness is None

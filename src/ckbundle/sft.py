@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import ck
-from .abelian import format_group, is_isomorphic
 from .intmat import IntMatrix, charpoly, det, matmul, matpow, trace, unimodular_inverse
 
 __all__ = [
@@ -94,11 +93,7 @@ def search_se_witness(
     row-major order; returns the first verified witness or None. An empty
     result is not a proof of non-equivalence (see se_obstruction for that).
     """
-    for m, name in ((a, "a"), (b, "b")):
-        if not m.is_square:
-            raise ValueError(f"{name} must be square")
-        if not m.is_nonnegative:
-            raise ck.NotNonnegative(f"{name} must be nonnegative")
+    _check_se_search(a, b, max_lag, entry_bound)
     rs = [r for r in _bounded_matrices(a.rows, b.rows, entry_bound) if matmul(a, r) == matmul(r, b)]
     ss = [s for s in _bounded_matrices(b.rows, a.rows, entry_bound) if matmul(b, s) == matmul(s, a)]
     for lag in range(1, max_lag + 1):
@@ -111,6 +106,29 @@ def search_se_witness(
     return None
 
 
+def _check_se_search(a: IntMatrix, b: IntMatrix, max_lag: int, entry_bound: int) -> None:
+    """Raise ValueError unless search_se_witness accepts these arguments."""
+    for m, name in ((a, "a"), (b, "b")):
+        if not m.is_square:
+            raise ValueError(f"{name} must be square")
+        if not m.is_nonnegative:
+            raise ck.NotNonnegative(f"{name} must be nonnegative")
+    if max_lag < 1:
+        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
+    if entry_bound < 0:
+        raise ValueError(f"entry_bound must be >= 0, got {entry_bound}")
+
+
+def _first_difference(a: object, b: object, rungs: list[tuple[str, Callable]]) -> str | None:
+    """Walk (name, invariant) rungs, cheapest first, and name the first
+    invariant on which a and b differ, or return None."""
+    for name, invariant in rungs:
+        x, y = invariant(a), invariant(b)
+        if x != y:
+            return f"{name}: {x} vs {y}"
+    return None
+
+
 def se_obstruction(a: IntMatrix, b: IntMatrix) -> str | None:
     """Definitive proof that a and b are not shift equivalent, or None.
 
@@ -118,13 +136,14 @@ def se_obstruction(a: IntMatrix, b: IntMatrix) -> str | None:
     sequences) and isomorphic Bowen-Franks groups.
     """
     depth = max(a.rows, b.rows)
-    ta, tb = trace_sequence(a, depth), trace_sequence(b, depth)
-    if ta != tb:
-        return f"trace sequences differ: {ta} vs {tb}"
-    bfa, bfb = ck.bowen_franks(a), ck.bowen_franks(b)
-    if not is_isomorphic(bfa, bfb):
-        return f"Bowen-Franks groups differ: {format_group(bfa)} vs {format_group(bfb)}"
-    return None
+    return _first_difference(
+        a,
+        b,
+        [
+            ("trace sequences differ", lambda m: trace_sequence(m, depth)),
+            ("Bowen-Franks groups differ", ck.bowen_franks),
+        ],
+    )
 
 
 def verify_elementary_sse(a: IntMatrix, b: IntMatrix, r: IntMatrix, s: IntMatrix) -> bool:
@@ -178,6 +197,8 @@ def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMa
     elementary generators, deduplicated, in breadth-first order starting from
     the identity. The order is deterministic, so "first hit" semantics are
     reproducible."""
+    if max_length < 0:
+        raise ValueError(f"search depth must be >= 0, got {max_length}")
     ident = IntMatrix.identity(n)
     yield ident, ident
     seen = {ident}
@@ -229,18 +250,16 @@ class ConjugacyResult:
 
 def conjugacy_obstruction(a: IntMatrix, b: IntMatrix) -> str | None:
     """Definitive proof that a and b are not similar in GL_n(Z), or None."""
-    if det(a) != det(b):
-        return f"determinants differ: {det(a)} vs {det(b)}"
-    ta, tb = trace_sequence(a, a.rows), trace_sequence(b, b.rows)
-    if ta != tb:
-        return f"trace sequences differ: {ta} vs {tb}"
-    pa, pb = charpoly(a), charpoly(b)
-    if pa != pb:
-        return f"characteristic polynomials differ: {pa} vs {pb}"
-    ka, kb = ck.k0(a), ck.k0(b)
-    if not is_isomorphic(ka, kb):
-        return f"K0 groups differ: {format_group(ka)} vs {format_group(kb)}"
-    return None
+    return _first_difference(
+        a,
+        b,
+        [
+            ("determinants differ", det),
+            ("trace sequences differ", lambda m: trace_sequence(m, m.rows)),
+            ("characteristic polynomials differ", charpoly),
+            ("K0 groups differ", ck.k0),
+        ],
+    )
 
 
 def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> ConjugacyResult:
@@ -253,6 +272,8 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     """
     if not (a.is_square and b.is_square) or a.shape != b.shape:
         raise ValueError(f"conjugacy needs equal square shapes, got {a.shape} and {b.shape}")
+    if search_depth < 0:
+        raise ValueError(f"search depth must be >= 0, got {search_depth}")
     for m, name in ((a, "a"), (b, "b")):
         if det(m) not in (1, -1):
             raise ValueError(f"{name} has determinant {det(m)}, expected +/-1")

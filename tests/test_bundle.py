@@ -193,6 +193,28 @@ def test_compare_h1_separates_sign_classes():
     assert verdict.witness.startswith("H1:")
 
 
+def test_compare_inverse_with_opposite_trace_sign_is_never_distinct():
+    # companion of t^3 - 3t^2 - 2t - 1 (trace 3) against its inverse (trace -2):
+    # T_M and T_{M^-1} are homeomorphic, but only the inverse is sign-flipped
+    m = IntMatrix([[0, 0, 1], [1, 0, 2], [0, 1, 3]])
+    m_inv = IntMatrix([[-2, 1, 0], [-3, 0, 1], [1, 0, 0]])
+    assert m @ m_inv == IntMatrix.identity(3)
+    for pair in ((m, m_inv), (m_inv, m)):
+        verdict = compare_bundles(*map(make_bundle, pair))
+        assert verdict.outcome is not Outcome.DISTINCT, verdict.witness
+
+
+def test_compare_uses_k0_when_both_sides_flipped():
+    verdict = compare_bundles(make_bundle(-A2), make_bundle(-A3))
+    assert verdict.outcome is Outcome.DISTINCT
+    assert verdict.witness == "K0: Z_2 + Z_2 vs Z_4"
+
+
+def test_compare_rejects_negative_depth():
+    with pytest.raises(ValueError, match="search depth"):
+        compare_bundles(make_bundle(A2), make_bundle(A3), search_depth=-1)
+
+
 def test_compare_dimension_mismatch():
     with pytest.raises(ValueError):
         compare_bundles(make_bundle(A2), bundle_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))

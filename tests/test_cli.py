@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -235,3 +236,85 @@ def test_cli_large_matrix_warning(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "may be slow" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["compare", "a", "a", "--depth", "-1"], "search depth"),
+        (["conj-search", "a", "a", "--depth", "-1"], "search depth"),
+        (["se-search", "a", "b", "--max-lag", "0"], "max_lag"),
+        (["se-search", "a", "b", "--entry-bound", "-1"], "entry_bound"),
+    ],
+)
+def test_cli_rejects_negative_search_bounds(tmp_path, capsys, argv, flag):
+    # b is obstructed against a, so se-search must check its bounds before
+    # the obstruction short-cuts the search
+    paths = {"a": _write(tmp_path, "a.txt", A2_TEXT), "b": _write(tmp_path, "b.txt", A3_TEXT)}
+    code = main([paths.get(x, x) for x in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
+
+
+@needs_digit_limit
+def test_parse_oversized_integer_text_and_json():
+    limit = DIGIT_LIMIT
+    token = "1" * (limit + 700)
+    for text, where in ((f"1 2\n3 {token}\n", "line 2"), (f'{{"rows": [[1, -{token}]]}}', "row 1")):
+        with pytest.raises(ParseError) as info:
+            parse_matrix(text)
+        message = str(info.value)
+        assert message.startswith(f"{where}: ")
+        assert f"{limit + 700} digits" in message and f"limit of {limit}" in message
+        assert "1111111111" not in message
+    assert parse_matrix("1" * limit) == IntMatrix([[int("1" * limit)]])
+
+
+@needs_digit_limit
+def test_cli_oversized_integer_exits_3(tmp_path, capsys):
+    digits = DIGIT_LIMIT + 700
+    code = main(["invariants", "--input", _write(tmp_path, "m.txt", "9" * digits)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: line 1: integer of {digits} digits") and len(err) < 200
+
+
+def test_cli_se_search_skips_search_when_obstructed(tmp_path, capsys, monkeypatch):
+    from ckbundle import sft
+
+    def fail(*args, **kwargs):
+        raise AssertionError("search_se_witness called on an obstructed pair")
+
+    monkeypatch.setattr(sft, "search_se_witness", fail)
+    a = _write(tmp_path, "a.txt", A2_TEXT)
+    b = _write(tmp_path, "b.txt", A3_TEXT)
+    assert main(["se-search", a, b]) == 0
+    assert capsys.readouterr().out == (
+        "not shift equivalent (definitive): Bowen-Franks groups differ: Z_2 + Z_2 vs Z_4\n"
+    )
+
+
+@pytest.mark.parametrize("m, calls", [(A2, 2), (IntMatrix([[2, 1], [1, 3]]), 1)])
+def test_build_report_smith_calls(monkeypatch, m, calls):
+    import ckbundle
+    from ckbundle import intmat
+
+    seen = []
+    original = intmat.smith_normal_form
+
+    def counting(a):
+        seen.append(a)
+        return original(a)
+
+    for module in vars(ckbundle).values():
+        if getattr(module, "smith_normal_form", None) is original:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+    report, _ = build_report(m)
+    assert len(seen) == calls
+    assert report.bowen_franks == report.k0

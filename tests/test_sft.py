@@ -184,3 +184,29 @@ def test_unknown_result_is_not_a_proof():
     result = conjugacy_search(a, b, search_depth=0)
     assert result.status is ConjugacyStatus.UNKNOWN
     assert result.conjugator is None and result.obstruction is None
+
+
+def test_obstruction_witness_strings():
+    from ckbundle.sft import conjugacy_obstruction
+
+    swap, ident = IntMatrix([[0, 1], [1, 0]]), IntMatrix.identity(2)
+    assert conjugacy_obstruction(swap, ident) == "determinants differ: -1 vs 1"
+    assert conjugacy_obstruction(A2, IntMatrix([[1, 1], [1, 2]])) == (
+        "trace sequences differ: [6, 34] vs [3, 7]"
+    )
+    assert conjugacy_obstruction(A2, A3) == "K0 groups differ: Z_2 + Z_2 vs Z_4"
+    assert conjugacy_obstruction(IntMatrix([[1, 1], [0, 1]]), IntMatrix([[1, 0], [1, 1]])) is None
+    assert se_obstruction(A2, A3) == "Bowen-Franks groups differ: Z_2 + Z_2 vs Z_4"
+    assert se_obstruction(FIB, IntMatrix([[2]])) == "trace sequences differ: [1, 3] vs [2, 4]"
+
+
+def test_negative_search_bounds_rejected():
+    with pytest.raises(ValueError, match="search depth"):
+        list(unimodular_words(2, -1))
+    with pytest.raises(ValueError, match="search depth"):
+        conjugacy_search(A2, A3, search_depth=-1)
+    with pytest.raises(ValueError, match="max_lag"):
+        search_se_witness(A2, A2, max_lag=0)
+    with pytest.raises(ValueError, match="entry_bound"):
+        search_se_witness(A2, A2, entry_bound=-1)
+    assert [u for u, _ in unimodular_words(2, 0)] == [IntMatrix.identity(2)]
