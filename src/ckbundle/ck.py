@@ -8,6 +8,7 @@ therefore defined for any square matrix, admissible or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .abelian import FgAbelianGroup, cokernel
 from .intmat import IntMatrix
@@ -22,7 +23,6 @@ __all__ = [
     "bowen_franks",
     "is_irreducible",
     "is_primitive",
-    "wielandt_bound",
     "edge_dilation",
 ]
 
@@ -93,19 +93,16 @@ def _adjacency(a: IntMatrix) -> list[list[int]]:
     return [[1 if x > 0 else 0 for x in row] for row in a.entries]
 
 
-def _bool_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
-    n = len(x)
-    cols = list(zip(*y))
-    return [[1 if any(p and q for p, q in zip(row, col)) else 0 for col in cols] for row in x]
-
-
 def is_irreducible(a: IntMatrix) -> bool:
     """True iff the digraph with an arc i -> j whenever a[i, j] > 0 is
     strongly connected."""
     if not a.is_square:
         raise ValueError(f"is_irreducible requires a square matrix, got {a.shape}")
     _require_nonnegative(a, "is_irreducible")
-    adj = _adjacency(a)
+    return _strongly_connected(_adjacency(a))
+
+
+def _strongly_connected(adj: list[list[int]]) -> bool:
     return _reaches_all(adj, 0) and _reaches_all(list(map(list, zip(*adj))), 0)
 
 
@@ -122,28 +119,31 @@ def _reaches_all(adj: list[list[int]], start: int) -> bool:
     return len(seen) == n
 
 
-def wielandt_bound(n: int) -> int:
-    """Power bound (n-1)^2 + 1: a primitive n x n matrix has a strictly
-    positive power by this exponent, so testing further is pointless."""
-    return (n - 1) ** 2 + 1
+def _period(adj: list[list[int]]) -> int:
+    """Period of a strongly connected digraph (0 if it has no arcs): the gcd
+    over arcs u -> v of level[u] + 1 - level[v], levels from one BFS from 0
+    (Lind-Marcus, Symbolic Dynamics and Coding, 4.5)."""
+    level = {0: 0}
+    queue = [0]
+    for u in queue:
+        for v, x in enumerate(adj[u]):
+            if x and v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return gcd(*(level[u] + 1 - level[v] for u in queue for v, x in enumerate(adj[u]) if x))
 
 
 def is_primitive(a: IntMatrix) -> bool:
     """True iff some power of a is entrywise strictly positive.
 
-    Decided on the 0/1 pattern (nonnegativity means no cancellation), testing
-    exponents up to the Wielandt bound.
+    Decided on the 0/1 pattern (nonnegativity means no cancellation): a is
+    primitive iff its digraph is strongly connected with period 1. O(n^2).
     """
     if not a.is_square:
         raise ValueError(f"is_primitive requires a square matrix, got {a.shape}")
     _require_nonnegative(a, "is_primitive")
-    pattern = _adjacency(a)
-    power = pattern
-    for _ in range(wielandt_bound(a.rows)):
-        if all(all(row) for row in power):
-            return True
-        power = _bool_matmul(power, pattern)
-    return False
+    adj = _adjacency(a)
+    return _strongly_connected(adj) and _period(adj) == 1
 
 
 def edge_dilation(a: IntMatrix) -> IntMatrix:

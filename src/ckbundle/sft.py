@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from . import ck
-from .intmat import IntMatrix, charpoly, det, matmul, matpow, trace, unimodular_inverse
+from .intmat import IntMatrix, det, matmul, matpow, trace, unimodular_inverse
 
 __all__ = [
     "SEWitness",
@@ -256,7 +256,6 @@ def conjugacy_obstruction(a: IntMatrix, b: IntMatrix) -> str | None:
         [
             ("determinants differ", det),
             ("trace sequences differ", lambda m: trace_sequence(m, m.rows)),
-            ("characteristic polynomials differ", charpoly),
             ("K0 groups differ", ck.k0),
         ],
     )

@@ -83,3 +83,20 @@ def abelian_order_multiset(factors):
             o = lcm(o, f // gcd(x, f))
         orders.append(o)
     return sorted(orders)
+
+
+def primitive_by_powers(rows):
+    """Whether some power of a nonnegative square matrix is entrywise
+    positive, by boolean powers up to Wielandt's exponent (n - 1)^2 + 1, past
+    which a primitive matrix is always positive."""
+    n = len(rows)
+    pattern = [[x > 0 for x in row] for row in rows]
+    power = pattern
+    for _ in range((n - 1) ** 2 + 1):
+        if all(all(row) for row in power):
+            return True
+        power = [
+            [any(power[i][k] and pattern[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return False

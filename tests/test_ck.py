@@ -22,7 +22,7 @@ from ckbundle.bundle import random_unimodular
 from ckbundle.sft import conjugate
 
 from conftest import A2, A3, FIB, a1, random_matrix
-from oracles import brute_kernel_vectors, rank_by_minors
+from oracles import brute_kernel_vectors, primitive_by_powers, rank_by_minors
 
 
 def test_make_descriptor():
@@ -125,6 +125,87 @@ def test_primitive_implies_irreducible():
         a = IntMatrix([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
         if is_primitive(a):
             assert is_irreducible(a)
+
+
+def _relabel(rows, perm):
+    """The matrix of the same digraph with vertex i renamed perm[i]."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = rows[i][j]
+    return out
+
+
+def _block_cyclic(rng, sizes):
+    """Positive blocks from class c to class c + 1 (mod len(sizes)) only:
+    irreducible with period len(sizes)."""
+    start = [sum(sizes[:c]) for c in range(len(sizes))]
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    for c, size in enumerate(sizes):
+        d = (c + 1) % len(sizes)
+        for i in range(start[c], start[c] + size):
+            for j in range(start[d], start[d] + sizes[d]):
+                rows[i][j] = rng.randint(1, 3)
+    return rows
+
+
+def test_primitive_edge_cases():
+    assert is_irreducible(IntMatrix([[0]]))
+    # 3-cycle 0 -> 1 -> 2 -> 0 plus the chord 1 -> 0: cycle lengths 3 and 2
+    chorded = [[0, 1, 0], [1, 0, 1], [1, 0, 0]]
+    rng = random.Random(37)
+    perm = list(range(7))
+    rng.shuffle(perm)
+    relabelled = _relabel(_block_cyclic(rng, [2, 3, 2]), perm)
+    assert is_irreducible(IntMatrix(relabelled))
+    cases = [([[0]], False), ([[1]], True), ([[0, 1], [1, 0]], False), (chorded, True)]
+    cases.append((relabelled, False))
+    for rows, expected in cases:
+        assert is_primitive(IntMatrix(rows)) == primitive_by_powers(rows) == expected
+
+
+def test_primitive_matches_power_oracle():
+    rng = random.Random(38)
+    seen = {True: 0, False: 0}
+    for trial in range(2100):
+        n = 1 + trial % 7
+        density = (0.15, 0.3, 0.5, 0.8)[trial // 7 % 4]
+        rows = [
+            [rng.randint(1, 3) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)
+        ]
+        expected = primitive_by_powers(rows)
+        assert is_primitive(IntMatrix(rows)) == expected, rows
+        seen[expected] += 1
+    assert min(seen.values()) > 300
+
+
+def test_primitive_matches_power_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    matrices = st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(matrices)
+    def check(rows):
+        assert is_primitive(IntMatrix(rows)) == primitive_by_powers(rows)
+
+    check()
+
+
+def test_primitive_scale_n48():
+    # asserts results, not time: a Wielandt power loop needs about 18 s on the cycle
+    n = 48
+    cycle = IntMatrix([[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+    assert is_irreducible(cycle) and not is_primitive(cycle)
+    bipartite = IntMatrix([[int((i < n // 2) != (j < n // 2)) for j in range(n)] for i in range(n)])
+    assert is_irreducible(bipartite) and not is_primitive(bipartite)
+    assert is_primitive(IntMatrix([[1 + (i * j) % 3 for j in range(n)] for i in range(n)]))
 
 
 def test_edge_dilation_examples():

@@ -5,8 +5,10 @@ import pytest
 from ckbundle import (
     ConjugacyStatus,
     IntMatrix,
+    IntPolynomial,
     SEWitness,
     bowen_franks,
+    charpoly,
     conjugacy_search,
     conjugate,
     det,
@@ -184,6 +186,21 @@ def test_unknown_result_is_not_a_proof():
     result = conjugacy_search(a, b, search_depth=0)
     assert result.status is ConjugacyStatus.UNKNOWN
     assert result.conjugator is None and result.obstruction is None
+
+
+def test_traces_fix_charpoly_by_newton_identities():
+    # why conjugacy_obstruction needs no charpoly rung after the trace rung
+    rng = random.Random(45)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, n, n, -4, 4)
+        p = trace_sequence(a, n)
+        c = [1]  # c[k] is the coefficient of t^(n - k)
+        for k in range(1, n + 1):
+            s = p[k - 1] + sum(c[i] * p[k - 1 - i] for i in range(1, k))
+            assert s % k == 0
+            c.append(-s // k)
+        assert charpoly(a) == IntPolynomial(tuple(reversed(c)))
 
 
 def test_obstruction_witness_strings():
