@@ -9,7 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, smith_normal_form
+from .intmat import IntMatrix, smith_diagonal
 
 __all__ = [
     "FgAbelianGroup",
@@ -90,9 +90,9 @@ def cokernel(a: IntMatrix) -> FgAbelianGroup:
     The free rank is rows - rank(a); the torsion factors are the Smith
     diagonal entries greater than 1.
     """
-    dec = smith_normal_form(a)
-    torsion = tuple(x for x in dec.diagonal() if x > 1)
-    return FgAbelianGroup(a.rows - dec.rank, torsion)
+    diag = smith_diagonal(a)
+    torsion = tuple(x for x in diag if x > 1)
+    return FgAbelianGroup(a.rows - sum(1 for x in diag if x != 0), torsion)
 
 
 def is_isomorphic(g: FgAbelianGroup, h: FgAbelianGroup) -> bool:
@@ -102,13 +102,13 @@ def is_isomorphic(g: FgAbelianGroup, h: FgAbelianGroup) -> bool:
 
 def direct_sum(g: FgAbelianGroup, h: FgAbelianGroup) -> FgAbelianGroup:
     """Direct sum, with the combined torsion re-normalized into a divisor
-    chain (via the Smith form of the diagonal matrix of all factors)."""
+    chain (via the Smith diagonal of the diagonal matrix of all factors)."""
     rank = g.free_rank + h.free_rank
     factors = g.invariant_factors + h.invariant_factors
     if not factors:
         return FgAbelianGroup(rank, ())
-    dec = smith_normal_form(IntMatrix.diagonal(factors))
-    return FgAbelianGroup(rank, tuple(x for x in dec.diagonal() if x > 1))
+    diag = smith_diagonal(IntMatrix.diagonal(factors))
+    return FgAbelianGroup(rank, tuple(x for x in diag if x > 1))
 
 
 def format_group(g: FgAbelianGroup) -> str:

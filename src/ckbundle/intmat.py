@@ -22,6 +22,7 @@ __all__ = [
     "trace",
     "charpoly",
     "smith_normal_form",
+    "smith_diagonal",
     "kernel_basis",
     "unimodular_inverse",
 ]
@@ -269,20 +270,28 @@ class IntPolynomial:
 def charpoly(a: IntMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(tI - a), exact over the integers.
 
-    Uses the Faddeev-LeVerrier recurrence; the division by k at each step is
-    exact because the coefficients are integers.
+    Uses the Samuelson-Berkowitz recurrence, which is division-free: the
+    polynomial of each leading block a_r grows to that of a_{r+1} by one
+    lower-triangular Toeplitz product whose column is
+    1, -a[r][r], -R.C, -R.a_r.C, ..., with R and C the new row and column.
     """
     _require_square(a, "charpoly")
-    n = a.rows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    ident = IntMatrix.identity(n)
-    prod = IntMatrix.zero(n, n)
-    for k in range(1, n + 1):
-        m_k = prod + coeffs[n - k + 1] * ident
-        prod = matmul(a, m_k)
-        coeffs[n - k] = -trace(prod) // k
-    return IntPolynomial(coeffs)
+    rows = a.entries
+    coeffs = [1]  # descending coefficients of det(tI - a_r), starting at r = 0
+    for r in range(a.rows):
+        block = [row[:r] for row in rows[:r]]
+        left = rows[r][:r]
+        vec = [row[r] for row in rows[:r]]
+        column = [1, -rows[r][r]]
+        for k in range(r):
+            if k:
+                vec = [sum(map(operator.mul, row, vec)) for row in block]
+            column.append(-sum(map(operator.mul, left, vec)))
+        coeffs = [
+            sum(column[i - j] * coeffs[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return IntPolynomial(tuple(reversed(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -313,44 +322,49 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over the integers.
+def _smith(
+    d: list[list[int]],
+    row_mates: tuple[list[list[int]], ...],
+    col_mates: tuple[list[list[int]], ...],
+) -> None:
+    """Eliminate d (a list of row lists) in place to Smith normal form.
+
+    Each row operation is applied to d and to every matrix in row_mates,
+    each column operation to d and to every matrix in col_mates. The
+    operations depend on d alone, so the mates only record them.
 
     Pivots are chosen as the first (row-major) entry of minimal absolute
     value in the working submatrix, which keeps coefficient growth tame and
     makes the output deterministic. Diagonal signs are normalized to be
-    nonnegative by row negations folded into u.
+    nonnegative by row negations.
     """
-    nrows, ncols = a.rows, a.cols
-    d = a.to_lists()
-    u = IntMatrix.identity(nrows).to_lists()
-    v = IntMatrix.identity(ncols).to_lists()
+    nrows, ncols = len(d), len(d[0])
+    row_mats = (d, *row_mates)
+    col_mats = (d, *col_mates)
 
     def swap_rows(i, j):
         if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
+            for mat in row_mats:
+                mat[i], mat[j] = mat[j], mat[i]
 
     def swap_cols(i, j):
         if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            for mat in col_mats:
+                for row in mat:
+                    row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, mult):
-        d[dst] = [x + mult * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
+        for mat in row_mats:
+            mat[dst] = [x + mult * y for x, y in zip(mat[dst], mat[src])]
 
     def add_col(dst, src, mult):
-        for row in d:
-            row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
+        for mat in col_mats:
+            for row in mat:
+                row[dst] += mult * row[src]
 
     def transform_rows(i, j, p, q, r, s):
         # [row_i; row_j] <- [[p, q], [r, s]] @ [row_i; row_j]; det must be +/-1
-        for mat in (d, u):
+        for mat in row_mats:
             ri, rj = mat[i], mat[j]
             mat[i] = [p * x + q * y for x, y in zip(ri, rj)]
             mat[j] = [r * x + s * y for x, y in zip(ri, rj)]
@@ -395,8 +409,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     rank = t
     for i in range(rank):
         if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
+            for mat in row_mats:
+                mat[i] = [-x for x in mat[i]]
 
     # enforce the divisor chain d_i | d_{i+1} on the nonzero diagonal
     changed = True
@@ -411,7 +425,22 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 add_col(i + 1, i, -(y * b_i // g))
                 changed = True
 
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form over the integers, with its unimodular transforms."""
+    d = a.to_lists()
+    u = IntMatrix.identity(a.rows).to_lists()
+    v = IntMatrix.identity(a.cols).to_lists()
+    _smith(d, (u,), (v,))
     return SmithDecomposition(IntMatrix(u), IntMatrix(d), IntMatrix(v))
+
+
+def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """The Smith diagonal of a, equal to smith_normal_form(a).diagonal(),
+    computed without building the transforms u and v."""
+    d = a.to_lists()
+    _smith(d, (), ())
+    return tuple(d[i][i] for i in range(min(a.rows, a.cols)))
 
 
 def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:

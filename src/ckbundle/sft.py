@@ -166,9 +166,10 @@ def trace_sequence(a: IntMatrix, m: int) -> list[int]:
         raise ValueError(f"trace_sequence requires a square matrix, got {a.shape}")
     out = []
     power = a
-    for _ in range(m):
+    for k in range(m):
+        if k:
+            power = matmul(power, a)
         out.append(trace(power))
-        power = matmul(power, a)
     return out
 
 

@@ -1,7 +1,8 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately naive (cofactor expansions, brute-force
-enumeration) and shares no code with the library paths it verifies.
+enumeration, textbook recurrences the library has replaced) and shares no
+code with the library paths it verifies.
 """
 
 from itertools import combinations, product
@@ -100,3 +101,18 @@ def primitive_by_powers(rows):
             for i in range(n)
         ]
     return False
+
+
+def charpoly_faddeev(rows):
+    """Ascending coefficients of det(tI - A) by the Faddeev-LeVerrier
+    recurrence M_k = A M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(A M_k) / k; the
+    division by k is exact over the integers."""
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += coeffs[n - k + 1]
+        m = matmul_lists(rows, m)
+        coeffs[n - k] = -sum(m[i][i] for i in range(n)) // k
+    return tuple(coeffs)

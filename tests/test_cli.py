@@ -302,19 +302,23 @@ def test_cli_se_search_skips_search_when_obstructed(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("m, calls", [(A2, 2), (IntMatrix([[2, 1], [1, 3]]), 1)])
 def test_build_report_smith_calls(monkeypatch, m, calls):
+    # Smith factorizations through either entry point, counted wherever it
+    # is bound; a report reads only diagonals, so it asks for no transforms
     import ckbundle
     from ckbundle import intmat
 
-    seen = []
-    original = intmat.smith_normal_form
+    seen = {"smith_normal_form": [], "smith_diagonal": []}
+    for name, log in seen.items():
+        original = getattr(intmat, name)
 
-    def counting(a):
-        seen.append(a)
-        return original(a)
+        def counting(a, original=original, log=log):
+            log.append(a)
+            return original(a)
 
-    for module in vars(ckbundle).values():
-        if getattr(module, "smith_normal_form", None) is original:
-            monkeypatch.setattr(module, "smith_normal_form", counting)
+        for module in vars(ckbundle).values():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
     report, _ = build_report(m)
-    assert len(seen) == calls
+    assert len(seen["smith_normal_form"]) + len(seen["smith_diagonal"]) == calls
+    assert seen["smith_normal_form"] == []
     assert report.bowen_franks == report.k0

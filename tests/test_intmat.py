@@ -11,6 +11,7 @@ from ckbundle import (
     kernel_basis,
     matmul,
     matpow,
+    smith_diagonal,
     smith_normal_form,
     trace,
     unimodular_inverse,
@@ -20,6 +21,7 @@ from ckbundle.bundle import random_unimodular
 from conftest import A2, A3, FIB, random_matrix
 from oracles import (
     brute_kernel_vectors,
+    charpoly_faddeev,
     det_cofactor,
     matpow_naive,
     rank_by_minors,
@@ -158,6 +160,43 @@ def test_charpoly_constant_term_is_signed_det():
         assert charpoly(a)(0) == (-1) ** n * det(a)
 
 
+
+def _charpoly_cases(seed):
+    """Seeded square matrices n = 1..12: dense, sparse 0/+-1, zero diagonal."""
+    rng = random.Random(seed)
+    for n in range(1, 13):
+        yield random_matrix(rng, n, n, -9, 9)
+        yield IntMatrix(
+            [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+        )
+        yield IntMatrix(
+            [[0 if i == j else rng.randint(-4, 4) for j in range(n)] for i in range(n)]
+        )
+
+
+def test_charpoly_matches_faddeev_oracle():
+    for a in _charpoly_cases(41):
+        assert charpoly(a).coefficients == charpoly_faddeev(a.to_lists())
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for a in _charpoly_cases(42):
+        expected = sympy.Matrix(a.to_lists()).charpoly(t).all_coeffs()
+        assert charpoly(a).coefficients == tuple(int(c) for c in reversed(expected))
+
+
+def test_charpoly_at_scale_matches_determinants():
+    # n = 48 guard on results only: p(0) = (-1)^n det(A), p(1) = det(I - A)
+    rng = random.Random(43)
+    n = 48
+    a = random_matrix(rng, n, n, -3, 3)
+    p = charpoly(a)
+    assert p.degree == n
+    assert p(0) == (-1) ** n * det(a)
+    assert p(1) == det(IntMatrix.identity(n) - a)
+
 def test_polynomial_normalization_and_eval():
     p = IntPolynomial((1, -6, 1, 0, 0))
     assert p.coefficients == (1, -6, 1)
@@ -231,6 +270,38 @@ def test_snf_2x2_gcd_oracle():
         a = random_matrix(rng, 2, 2, -30, 30)
         assert smith_normal_form(a).diagonal() == snf_2x2_oracle(a.to_lists())
 
+
+
+def _smith_cases(seed):
+    """Seeded rectangular matrices 1..8 x 1..8, some with a zeroed row and a
+    zeroed column, plus zero matrices."""
+    rng = random.Random(seed)
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            a = random_matrix(rng, rows, cols, -12, 12).to_lists()
+            yield IntMatrix(a)
+            a[rng.randrange(rows)] = [0] * cols
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+            yield IntMatrix(a)
+            yield IntMatrix.zero(rows, cols)
+
+
+def test_smith_diagonal_matches_full_decomposition():
+    for a in _smith_cases(44):
+        assert smith_diagonal(a) == smith_normal_form(a).diagonal()
+
+
+def test_smith_diagonal_matches_sympy():
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    for a in _smith_cases(45):
+        d = sympy_snf(Matrix(a.to_lists()), domain=ZZ)
+        expected = tuple(abs(int(d[i, i])) for i in range(min(a.rows, a.cols)))
+        assert smith_diagonal(a) == expected
 
 def test_snf_deterministic():
     a = IntMatrix([[6, 4, 2], [2, 8, 4], [0, 10, 2]])

@@ -116,6 +116,27 @@ def test_trace_sequence_examples():
     assert trace_sequence(FIB, 4) == lucas
 
 
+
+def test_trace_sequence_computes_no_unread_power(monkeypatch):
+    from ckbundle import sft
+
+    rng = random.Random(46)
+    a = random_matrix(rng, 3, 3, -4, 4)
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(sft, "matmul", counting)
+    for m in range(6):
+        calls.clear()
+        traces = trace_sequence(a, m)
+        assert len(calls) == max(m - 1, 0)
+        assert traces == [
+            sum(matpow_naive(a.to_lists(), k)[i][i] for i in range(3)) for k in range(1, m + 1)
+        ]
+
 def test_elementary_generators():
     gens = elementary_generators(3)
     assert len(gens) == 13  # 12 transvections + sign flip
