@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .abelian import FgAbelianGroup, cokernel
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _require_square
 
 __all__ = [
     "NotNonnegative",
@@ -69,23 +69,20 @@ def make_descriptor(a: IntMatrix) -> CKDescriptor:
 
 def k0(a: IntMatrix) -> FgAbelianGroup:
     """K0 invariant: the cokernel of (I - a^t) in canonical form."""
-    if not a.is_square:
-        raise ValueError(f"k0 requires a square matrix, got {a.shape}")
+    _require_square(a, "k0")
     return cokernel(IntMatrix.identity(a.rows) - a.transpose())
 
 
 def k1(a: IntMatrix) -> FgAbelianGroup:
     """K1 invariant: the kernel of (I - a^t), free of the rank of K0's free
     part (rank-nullity on the one Smith form of I - a^t)."""
-    if not a.is_square:
-        raise ValueError(f"k1 requires a square matrix, got {a.shape}")
+    _require_square(a, "k1")
     return FgAbelianGroup.free(k0(a).free_rank)
 
 
 def bowen_franks(a: IntMatrix) -> FgAbelianGroup:
     """Bowen-Franks group: the cokernel of (I - a); isomorphic to k0(a)."""
-    if not a.is_square:
-        raise ValueError(f"bowen_franks requires a square matrix, got {a.shape}")
+    _require_square(a, "bowen_franks")
     return cokernel(IntMatrix.identity(a.rows) - a)
 
 
@@ -96,8 +93,7 @@ def _adjacency(a: IntMatrix) -> list[list[int]]:
 def is_irreducible(a: IntMatrix) -> bool:
     """True iff the digraph with an arc i -> j whenever a[i, j] > 0 is
     strongly connected."""
-    if not a.is_square:
-        raise ValueError(f"is_irreducible requires a square matrix, got {a.shape}")
+    _require_square(a, "is_irreducible")
     _require_nonnegative(a, "is_irreducible")
     return _strongly_connected(_adjacency(a))
 
@@ -139,8 +135,7 @@ def is_primitive(a: IntMatrix) -> bool:
     Decided on the 0/1 pattern (nonnegativity means no cancellation): a is
     primitive iff its digraph is strongly connected with period 1. O(n^2).
     """
-    if not a.is_square:
-        raise ValueError(f"is_primitive requires a square matrix, got {a.shape}")
+    _require_square(a, "is_primitive")
     _require_nonnegative(a, "is_primitive")
     adj = _adjacency(a)
     return _strongly_connected(adj) and _period(adj) == 1
@@ -154,8 +149,7 @@ def edge_dilation(a: IntMatrix) -> IntMatrix:
     exactly when head(e) = tail(f). A matrix that is already 0/1 is returned
     unchanged. Preserves the conjugacy class of the associated shift.
     """
-    if not a.is_square:
-        raise ValueError(f"edge_dilation requires a square matrix, got {a.shape}")
+    _require_square(a, "edge_dilation")
     _require_nonnegative(a, "edge_dilation")
     if a.is_zero:
         raise ValueError("edge_dilation requires at least one nonzero entry")

@@ -6,10 +6,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import bundle, ck, sft
-from .abelian import FgAbelianGroup, format_group
+from .abelian import FgAbelianGroup
 from .intmat import IntMatrix, IntPolynomial, det, smith_normal_form, trace
 
 __all__ = ["ParseError", "InvariantReport", "parse_matrix", "build_report", "main"]
@@ -81,7 +81,7 @@ def parse_matrix(text: str) -> IntMatrix:
 def _parse_json_matrix(text: str) -> IntMatrix:
     try:
         obj = json.loads(text, parse_int=_json_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ParseError('JSON input must be an object with a "rows" key')
@@ -124,49 +124,35 @@ class InvariantReport:
     theorem1_check: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "matrix": {"rows": self.matrix.to_lists()},
-            "det": self.det,
-            "trace": self.trace,
-            "normalized": self.normalized,
-            "k0": _group_dict(self.k0),
-            "k1": _group_dict(self.k1),
-            "bowen_franks": _group_dict(self.bowen_franks),
-            "h1": _group_dict(self.h1),
-            "alexander": None if self.alexander is None else list(self.alexander.coefficients),
-            "irreducible": self.irreducible,
-            "primitive": self.primitive,
-            "theorem1_check": self.theorem1_check,
-        }
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "InvariantReport":
-        return cls(
-            matrix=IntMatrix(d["matrix"]["rows"]),
-            det=d["det"],
-            trace=d["trace"],
-            normalized=d["normalized"],
-            k0=_group_from_dict(d["k0"]),
-            k1=_group_from_dict(d["k1"]),
-            bowen_franks=_group_from_dict(d["bowen_franks"]),
-            h1=_group_from_dict(d["h1"]),
-            alexander=None if d["alexander"] is None else IntPolynomial(tuple(d["alexander"])),
-            irreducible=d["irreducible"],
-            primitive=d["primitive"],
-            theorem1_check=d["theorem1_check"],
-        )
+        return cls(**{f.name: _from_json(d[f.name]) for f in fields(cls)})
 
 
-def _group_dict(g: FgAbelianGroup | None) -> dict | None:
-    if g is None:
-        return None
-    return {"free_rank": g.free_rank, "invariant_factors": list(g.invariant_factors)}
+def _to_json(value):
+    """JSON form of a value: a matrix as {"rows": ...}, a group as its free
+    rank and invariant factors, a polynomial as its ascending coefficients;
+    anything else (int, bool, None) as itself."""
+    if isinstance(value, IntMatrix):
+        return {"rows": value.to_lists()}
+    if isinstance(value, FgAbelianGroup):
+        return {"free_rank": value.free_rank, "invariant_factors": list(value.invariant_factors)}
+    if isinstance(value, IntPolynomial):
+        return list(value.coefficients)
+    return value
 
 
-def _group_from_dict(d: dict | None) -> FgAbelianGroup | None:
-    if d is None:
-        return None
-    return FgAbelianGroup(d["free_rank"], tuple(d["invariant_factors"]))
+def _from_json(value):
+    """Inverse of _to_json, read off the JSON shape."""
+    if isinstance(value, dict):
+        if "rows" in value:
+            return IntMatrix(value["rows"])
+        return FgAbelianGroup(value["free_rank"], tuple(value["invariant_factors"]))
+    if isinstance(value, list):
+        return IntPolynomial(tuple(value))
+    return value
 
 
 def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
@@ -212,23 +198,14 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
 
 
 def _render_report_text(r: InvariantReport) -> str:
-    def opt(value, render=str):
-        return "-" if value is None else render(value)
-
-    lines = [
-        f"matrix:         {r.matrix.to_lists()}",
-        f"det:            {r.det}",
-        f"trace:          {r.trace}",
-        f"normalized:     {opt(r.normalized)}",
-        f"k0:             {format_group(r.k0)}",
-        f"k1:             {format_group(r.k1)}",
-        f"bowen_franks:   {format_group(r.bowen_franks)}",
-        f"h1:             {opt(r.h1, format_group)}",
-        f"alexander:      {opt(r.alexander)}",
-        f"irreducible:    {opt(r.irreducible)}",
-        f"primitive:      {opt(r.primitive)}",
-        f"theorem1_check: {opt(r.theorem1_check)}",
-    ]
+    lines = []
+    for f in fields(r):
+        value = getattr(r, f.name)
+        if value is None:
+            value = "-"
+        elif isinstance(value, IntMatrix):
+            value = value.to_lists()
+        lines.append(f"{f.name + ':':<16}{value}")
     return "\n".join(lines)
 
 
@@ -275,9 +252,7 @@ def _cmd_compare(args) -> int:
     obj = {
         "verdict": verdict.outcome.value,
         "witness": verdict.witness,
-        "certificate": None
-        if verdict.certificate is None
-        else {"rows": verdict.certificate.to_lists()},
+        "certificate": _to_json(verdict.certificate),
     }
     text = f"verdict: {verdict.outcome.value}\nwitness: {verdict.witness}"
     _emit(obj, text, args.format)
@@ -313,7 +288,7 @@ def _cmd_snf(args) -> int:
 
 def _cmd_dilate(args) -> int:
     dilated = ck.edge_dilation(_read_matrix(args.input))
-    _emit({"rows": dilated.to_lists()}, _matrix_text(dilated), args.format)
+    _emit(_to_json(dilated), _matrix_text(dilated), args.format)
     return 0
 
 
@@ -352,9 +327,7 @@ def _cmd_conj_search(args) -> int:
     result = sft.conjugacy_search(a, b, search_depth=args.depth)
     obj = {
         "status": result.status.value,
-        "conjugator": None
-        if result.conjugator is None
-        else {"rows": result.conjugator.to_lists()},
+        "conjugator": _to_json(result.conjugator),
         "obstruction": result.obstruction,
     }
     if result.status is sft.ConjugacyStatus.CONJUGATE:

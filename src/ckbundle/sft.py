@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Callable, Iterator
 
 from . import ck
-from .intmat import IntMatrix, det, matmul, matpow, trace, unimodular_inverse
+from .intmat import IntMatrix, _require_square, det, matmul, matpow, trace, unimodular_inverse
 
 __all__ = [
     "SEWitness",
@@ -62,25 +63,19 @@ def verify_se_witness(a: IntMatrix, b: IntMatrix, w: SEWitness) -> bool:
     )
 
 
-def _bounded_matrices(rows: int, cols: int, bound: int) -> Iterator[IntMatrix]:
-    """All rows x cols matrices with entries in [0, bound], ordered by total
-    entry sum, then row-major lexicographic. Lazy: the space has
-    (bound+1)^(rows*cols) elements."""
-    cells = rows * cols
-
-    def with_sum(prefix: tuple[int, ...], remaining: int, total: int):
-        if remaining == 0:
-            if total == 0:
-                yield prefix
-            return
-        lo = max(0, total - bound * (remaining - 1))
-        hi = min(bound, total)
-        for x in range(lo, hi + 1):
-            yield from with_sum(prefix + (x,), remaining - 1, total - x)
-
-    for total in range(bound * cells + 1):
-        for flat in with_sum((), cells, total):
-            yield IntMatrix([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+def _intertwiners(a: IntMatrix, b: IntMatrix, bound: int) -> list[IntMatrix]:
+    """Every r with entries in [0, bound] and a@r = r@b, ordered by total
+    entry sum, then row-major lexicographic. The box of (bound+1)^(rows*cols)
+    candidates is filtered lazily; only the survivors are sorted."""
+    rows, cols = a.rows, b.rows
+    box = (
+        IntMatrix([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+        for flat in product(range(bound + 1), repeat=rows * cols)
+    )
+    return sorted(
+        (r for r in box if matmul(a, r) == matmul(r, b)),
+        key=lambda r: (sum(map(sum, r.entries)), r.entries),
+    )
 
 
 def search_se_witness(
@@ -94,8 +89,8 @@ def search_se_witness(
     result is not a proof of non-equivalence (see se_obstruction for that).
     """
     _check_se_search(a, b, max_lag, entry_bound)
-    rs = [r for r in _bounded_matrices(a.rows, b.rows, entry_bound) if matmul(a, r) == matmul(r, b)]
-    ss = [s for s in _bounded_matrices(b.rows, a.rows, entry_bound) if matmul(b, s) == matmul(s, a)]
+    rs = _intertwiners(a, b, entry_bound)
+    ss = _intertwiners(b, a, entry_bound)
     for lag in range(1, max_lag + 1):
         a_pow = matpow(a, lag)
         b_pow = matpow(b, lag)
@@ -162,8 +157,7 @@ def verify_elementary_sse(a: IntMatrix, b: IntMatrix, r: IntMatrix, s: IntMatrix
 
 def trace_sequence(a: IntMatrix, m: int) -> list[int]:
     """[tr(a), tr(a^2), ..., tr(a^m)], exact."""
-    if not a.is_square:
-        raise ValueError(f"trace_sequence requires a square matrix, got {a.shape}")
+    _require_square(a, "trace_sequence")
     out = []
     power = a
     for k in range(m):

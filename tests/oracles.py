@@ -116,3 +116,43 @@ def charpoly_faddeev(rows):
         m = matmul_lists(rows, m)
         coeffs[n - k] = -sum(m[i][i] for i in range(n)) // k
     return tuple(coeffs)
+
+
+def bounded_matrices_by_sum(rows, cols, bound):
+    """All rows x cols matrices with entries in [0, bound], generated (not
+    sorted) by total entry sum, then row-major lexicographic order."""
+    cells = rows * cols
+
+    def with_sum(prefix, remaining, total):
+        if remaining == 0:
+            if total == 0:
+                yield prefix
+            return
+        for x in range(max(0, total - bound * (remaining - 1)), min(bound, total) + 1):
+            yield from with_sum(prefix + (x,), remaining - 1, total - x)
+
+    for total in range(bound * cells + 1):
+        for flat in with_sum((), cells, total):
+            yield [list(flat[i * cols : (i + 1) * cols]) for i in range(rows)]
+
+
+def se_witness_by_enumeration(a, b, max_lag, bound):
+    """First (r, s, lag) with a r = r b, b s = s a, r s = a^lag, s r = b^lag,
+    r and s in the box [0, bound]: lag ascending, then r, then s, each in
+    bounded_matrices_by_sum order; None if there is none."""
+
+    def intertwiners(x, y):
+        return [
+            r
+            for r in bounded_matrices_by_sum(len(x), len(y), bound)
+            if matmul_lists(x, r) == matmul_lists(r, y)
+        ]
+
+    rs, ss = intertwiners(a, b), intertwiners(b, a)
+    for lag in range(1, max_lag + 1):
+        a_pow, b_pow = matpow_naive(a, lag), matpow_naive(b, lag)
+        for r in rs:
+            for s in ss:
+                if matmul_lists(r, s) == a_pow and matmul_lists(s, r) == b_pow:
+                    return r, s, lag
+    return None

@@ -322,3 +322,17 @@ def test_build_report_smith_calls(monkeypatch, m, calls):
     assert len(seen["smith_normal_form"]) + len(seen["smith_diagonal"]) == calls
     assert seen["smith_normal_form"] == []
     assert report.bowen_franks == report.k0
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, monkeypatch):
+    import io
+
+    depth = 200_000
+    text = '{"rows": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        parse_matrix(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["invariants"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON: ") and len(captured.err) < 200

@@ -1,0 +1,201 @@
+"""Byte-exact CLI output: the full text report, the JSON key order, the
+absent-field lines, and the JSON shape of every matrix-valued output."""
+
+import json
+
+import pytest
+
+from ckbundle.cli import main
+
+A2_TEXT = "5 2\n2 1\n"
+
+A2_REPORT_TEXT = """\
+matrix:         [[5, 2], [2, 1]]
+det:            1
+trace:          6
+normalized:     False
+k0:             Z_2 + Z_2
+k1:             0
+bowen_franks:   Z_2 + Z_2
+h1:             Z + Z_2 + Z_2
+alexander:      t^2 - 6t + 1
+irreducible:    True
+primitive:      True
+theorem1_check: True
+"""
+
+
+@pytest.fixture
+def run(tmp_path, capsys):
+    """Run the CLI with each matrix argument given as its text, written to a
+    file; return (exit code, stdout, stderr)."""
+
+    def run(*argv, **matrices):
+        paths = {}
+        for name, text in matrices.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        code = main([str(paths.get(x, x)) for x in argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return run
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_readme_invariants_block(run):
+    assert run("invariants", "--input", "a", a=A2_TEXT) == (0, A2_REPORT_TEXT, "")
+
+
+def test_report_json_bytes_and_key_order(run):
+    code, out, err = run("invariants", "--input", "a", "--format", "json", a=A2_TEXT)
+    assert (code, err) == (0, "")
+    group = {"free_rank": 0, "invariant_factors": [2, 2]}
+    assert out == _json(
+        {
+            "matrix": {"rows": [[5, 2], [2, 1]]},
+            "det": 1,
+            "trace": 6,
+            "normalized": False,
+            "k0": group,
+            "k1": {"free_rank": 0, "invariant_factors": []},
+            "bowen_franks": group,
+            "h1": {"free_rank": 1, "invariant_factors": [2, 2]},
+            "alexander": [1, -6, 1],
+            "irreducible": True,
+            "primitive": True,
+            "theorem1_check": True,
+        }
+    )
+    assert list(json.loads(out)) == (
+        "matrix det trace normalized k0 k1 bowen_franks h1 alexander irreducible primitive "
+        "theorem1_check"
+    ).split()
+
+
+def test_non_unimodular_report_dashes(run):
+    assert run("invariants", "--input", "a", a="2 0\n0 1\n") == (
+        0,
+        "matrix:         [[2, 0], [0, 1]]\n"
+        "det:            2\n"
+        "trace:          3\n"
+        "normalized:     -\n"
+        "k0:             Z\n"
+        "k1:             Z\n"
+        "bowen_franks:   Z\n"
+        "h1:             -\n"
+        "alexander:      -\n"
+        "irreducible:    False\n"
+        "primitive:      False\n"
+        "theorem1_check: -\n",
+        "warning: determinant 2 is not +/-1: bundle fields (h1, alexander, "
+        "theorem1_check) are omitted\n",
+    )
+
+
+def test_negative_entries_report_dashes_and_nulls(run):
+    warning = "warning: matrix has negative entries: irreducible/primitive are omitted\n"
+    assert run("invariants", "--input", "a", a="1 -3\n0 -1\n") == (
+        0,
+        "matrix:         [[1, -3], [0, -1]]\n"
+        "det:            -1\n"
+        "trace:          0\n"
+        "normalized:     False\n"
+        "k0:             Z\n"
+        "k1:             Z\n"
+        "bowen_franks:   Z\n"
+        "h1:             Z^2\n"
+        "alexander:      t^2 - 1\n"
+        "irreducible:    -\n"
+        "primitive:      -\n"
+        "theorem1_check: True\n",
+        warning,
+    )
+    code, out, err = run("invariants", "--input", "a", "--format", "json", a="1 -3\n0 -1\n")
+    assert (code, err) == (0, warning)
+    payload = json.loads(out)
+    assert payload["irreducible"] is None and payload["primitive"] is None
+    assert payload["alexander"] == [-1, 0, 1]
+    assert '"irreducible": null,\n  "primitive": null,' in out
+
+
+def test_compare_certificate_rows(run):
+    b = "7 -4\n2 -1\n"  # [[1, 1], [0, 1]] A2 [[1, 1], [0, 1]]^-1
+    assert run("compare", "a", "b", "--format", "json", a=A2_TEXT, b=b) == (
+        0,
+        _json(
+            {
+                "verdict": "Homeomorphic",
+                "witness": "monodromies conjugate via [[1, 1], [0, 1]]",
+                "certificate": {"rows": [[1, 1], [0, 1]]},
+            }
+        ),
+        "",
+    )
+    assert run("compare", "a", "b", "--format", "json", a="2 1\n1 1\n", b="3 1\n2 1\n") == (
+        1,
+        _json({"verdict": "Distinct", "witness": "K0: 0 vs Z_2", "certificate": None}),
+        "",
+    )
+
+
+def test_conj_search_conjugator_rows(run):
+    assert run("conj-search", "a", "b", "--format", "json", a=A2_TEXT, b="7 -4\n2 -1\n") == (
+        0,
+        _json(
+            {"status": "conjugate", "conjugator": {"rows": [[1, 1], [0, 1]]}, "obstruction": None}
+        ),
+        "",
+    )
+    assert run("conj-search", "a", "b", "--format", "json", a="2 1\n1 1\n", b="3 1\n2 1\n") == (
+        0,
+        _json(
+            {
+                "status": "not_conjugate",
+                "conjugator": None,
+                "obstruction": "trace sequences differ: [3, 7] vs [4, 14]",
+            }
+        ),
+        "",
+    )
+
+
+def test_dilate_rows(run):
+    assert run("dilate", "--input", "a", "--format", "json", a="2\n") == (
+        0,
+        _json({"rows": [[1, 1], [1, 1]]}),
+        "",
+    )
+
+
+def test_snf_raw_lists(run):
+    assert run("snf", "--input", "a", "--format", "json", a="6 0\n0 4\n") == (
+        0,
+        _json(
+            {
+                "u": [[1, -1], [2, -3]],
+                "d": [[2, 0], [0, 12]],
+                "v": [[1, -2], [1, -3]],
+                "diagonal": [2, 12],
+            }
+        ),
+        "",
+    )
+
+
+def test_se_search_raw_lists(run):
+    argv = ("se-search", "a", "a", "--max-lag", "1", "--entry-bound", "2")
+    r = [[2, 1], [1, 0]]
+    assert run(*argv, "--format", "json", a=A2_TEXT) == (
+        0,
+        _json({"witness": {"r": r, "s": r, "lag": 1}, "obstruction": None, "definitive": False}),
+        "",
+    )
+    assert run(*argv, a=A2_TEXT) == (
+        0,
+        "witness found (lag 1)\nr:\n2 1\n1 0\ns:\n2 1\n1 0\n",
+        "",
+    )

@@ -26,7 +26,7 @@ from ckbundle.bundle import random_unimodular
 from ckbundle.sft import elementary_generators, unimodular_words
 
 from conftest import A2, A3, FIB, random_matrix, random_nonnegative
-from oracles import matpow_naive
+from oracles import bounded_matrices_by_sum, matpow_naive, se_witness_by_enumeration
 
 
 def test_verify_se_witness_trivial():
@@ -77,6 +77,35 @@ def test_search_se_witness_conjugate_pair():
     assert verify_se_witness(a, b, hand_built)
     w = search_se_witness(a, b, max_lag=2, entry_bound=3)
     assert w is not None and verify_se_witness(a, b, w)
+
+
+def test_search_se_witness_matches_enumeration_oracle():
+    # (RS, SR) pairs of every shape up to 3x3, every third one with SR
+    # replaced by an unrelated matrix; the oracle generates the box already
+    # in the documented order, the library sorts the survivors of a filter
+    from ckbundle.sft import _intertwiners
+
+    rng = random.Random(47)
+    outcomes = set()
+    for i in range(90):
+        m, k = rng.randint(1, 3), rng.randint(1, 3)
+        bound = 2 if m * k <= 4 else 1
+        r = random_matrix(rng, m, k, 0, bound)
+        s = random_matrix(rng, k, m, 0, bound)
+        a, b = matmul(r, s), matmul(s, r)
+        if i % 3 == 0:
+            b = random_matrix(rng, k, k, 0, bound)
+        expected = se_witness_by_enumeration(a.to_lists(), b.to_lists(), 2, bound)
+        w = search_se_witness(a, b, max_lag=2, entry_bound=bound)
+        got = None if w is None else (w.r.to_lists(), w.s.to_lists(), w.lag)
+        assert got == expected
+        outcomes.add(None if w is None else w.lag)
+        assert [x.to_lists() for x in _intertwiners(a, b, bound)] == [
+            x
+            for x in bounded_matrices_by_sum(m, k, bound)
+            if matmul(a, IntMatrix(x)) == matmul(IntMatrix(x), b)
+        ]
+    assert None in outcomes and 1 in outcomes
 
 
 def test_verify_elementary_sse_examples():
