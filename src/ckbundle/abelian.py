@@ -14,7 +14,6 @@ from .intmat import IntMatrix, smith_diagonal
 __all__ = [
     "FgAbelianGroup",
     "cokernel",
-    "is_isomorphic",
     "direct_sum",
     "format_group",
 ]
@@ -93,11 +92,6 @@ def cokernel(a: IntMatrix) -> FgAbelianGroup:
     diag = smith_diagonal(a)
     torsion = tuple(x for x in diag if x > 1)
     return FgAbelianGroup(a.rows - sum(1 for x in diag if x != 0), torsion)
-
-
-def is_isomorphic(g: FgAbelianGroup, h: FgAbelianGroup) -> bool:
-    """True exactly when the canonical forms coincide."""
-    return g == h
 
 
 def direct_sum(g: FgAbelianGroup, h: FgAbelianGroup) -> FgAbelianGroup:

@@ -97,7 +97,7 @@ def _parse_json_matrix(text: str) -> IntMatrix:
             if isinstance(x, _LongInt):
                 raise _too_long(f"row {i}", x.digits)
             if isinstance(x, bool) or not isinstance(x, int):
-                raise ParseError(f"row {i}: {x!r} is not an integer")
+                raise ParseError(f"row {i}: {type(x).__name__} entry is not an integer")
     return IntMatrix(rows)
 
 

@@ -192,30 +192,36 @@ def trace(a: IntMatrix) -> int:
     return sum(a[i, i] for i in range(a.rows))
 
 
-def det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Every intermediate value is an integer; divisions below are exact.
-    """
-    _require_square(a, "det")
-    n = a.rows
-    m = a.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
+def _echelon(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of m (row lists) in place;
+    returns the pivot columns and the row permutation's sign. Columns without
+    a pivot are skipped, so m may be rectangular and of any rank; rows past
+    the last pivot end up zero. Entries stay minors, so divisions are exact."""
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(m[0])):
+        k = len(pivots)
+        swap = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if swap is None:
+            continue
+        if swap != k:
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+        top, pivot = m[k], m[k][c]
+        for row in m[k + 1 :]:
+            for j in range(c + 1, len(row)):
+                row[j] = (row[j] * pivot - row[c] * top[j]) // prev
+            row[c] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+        pivots.append(c)
+    return pivots, sign
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    _require_square(a, "det")
+    m = a.to_lists()
+    pivots, sign = _echelon(m)
+    return sign * m[-1][-1] if len(pivots) == a.rows else 0
 
 
 @dataclass(frozen=True)
@@ -305,10 +311,6 @@ class SmithDecomposition:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d[i, i] for i in range(min(self.d.rows, self.d.cols)))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -15,7 +15,8 @@ from itertools import product
 from typing import Callable, Iterator
 
 from . import ck
-from .intmat import IntMatrix, _require_square, det, matmul, matpow, trace, unimodular_inverse
+from .intmat import IntMatrix, _echelon, _require_square, det, matmul, matpow, trace
+from .intmat import unimodular_inverse
 
 __all__ = [
     "SEWitness",
@@ -64,24 +65,39 @@ def verify_se_witness(a: IntMatrix, b: IntMatrix, w: SEWitness) -> bool:
 
 
 def _intertwiners(a: IntMatrix, b: IntMatrix, bound: int) -> list[IntMatrix]:
-    """Every r with entries in [0, bound] and a@r = r@b, ordered by total
-    entry sum, then row-major lexicographic. The box of (bound+1)^(rows*cols)
-    candidates is filtered lazily; only the survivors are sorted."""
+    """Every r with entries in [0, bound] and a@r = r@b, ordered by entry
+    sum, then row-major. a@r - r@b = 0 is one linear system, echeloned once:
+    only its free entries range over [0, bound], and the pivot entries follow
+    bottom-up by back-substitution, each exact and in [0, bound] or r fails."""
     rows, cols = a.rows, b.rows
-    box = (
-        IntMatrix([flat[i * cols : (i + 1) * cols] for i in range(rows)])
-        for flat in product(range(bound + 1), repeat=rows * cols)
-    )
-    return sorted(
-        (r for r in box if matmul(a, r) == matmul(r, b)),
-        key=lambda r: (sum(map(sum, r.entries)), r.entries),
-    )
+    system = [
+        [a[i, p] * (q == j) - (p == i) * b[q, j] for p in range(rows) for q in range(cols)]
+        for i in range(rows) for j in range(cols)
+    ]
+    pivots, _ = _echelon(system)
+    free = [c for c in range(rows * cols) if c not in pivots]
+    steps = [
+        (c, row[c], [(j, x) for j, x in enumerate(row) if x and j > c])
+        for c, row in reversed(list(zip(pivots, system)))
+    ]
+    found, flat = [], [0] * (rows * cols)
+    for values in product(range(bound + 1), repeat=len(free)):
+        for c, x in zip(free, values):
+            flat[c] = x
+        for c, pivot, terms in steps:
+            value, rem = divmod(-sum(x * flat[j] for j, x in terms), pivot)
+            if rem or not 0 <= value <= bound:
+                break
+            flat[c] = value
+        else:
+            found.append(IntMatrix([flat[i * cols : (i + 1) * cols] for i in range(rows)]))
+    return sorted(found, key=lambda r: (sum(map(sum, r.entries)), r.entries))
 
 
 def search_se_witness(
     a: IntMatrix, b: IntMatrix, max_lag: int = 3, entry_bound: int = 6
 ) -> SEWitness | None:
-    """Bounded brute-force search for a shift-equivalence witness.
+    """Bounded search for a shift-equivalence witness.
 
     Enumerates r with a@r = r@b and s with b@s = s@a over the entry box
     [0, entry_bound], lag ascending outermost, candidates by entry sum then
@@ -142,17 +158,9 @@ def se_obstruction(a: IntMatrix, b: IntMatrix) -> str | None:
 
 
 def verify_elementary_sse(a: IntMatrix, b: IntMatrix, r: IntMatrix, s: IntMatrix) -> bool:
-    """Check one elementary strong-shift-equivalence step: a = r@s and
-    b = s@r with r, s nonnegative."""
-    if not (a.is_square and b.is_square):
-        raise ValueError("elementary SSE applies to square matrices")
-    if r.shape != (a.rows, b.rows) or s.shape != (b.rows, a.rows):
-        raise ValueError(
-            f"factor shapes {r.shape}/{s.shape} do not match {a.rows} and {b.rows}"
-        )
-    if not (r.is_nonnegative and s.is_nonnegative):
-        return False
-    return matmul(r, s) == a and matmul(s, r) == b
+    """Check one elementary strong-shift-equivalence step, a = r@s and b = s@r
+    with r, s nonnegative: the lag-1 witness (r, s, 1), as a@r = r@s@r = r@b."""
+    return verify_se_witness(a, b, SEWitness(r, s, 1))
 
 
 def trace_sequence(a: IntMatrix, m: int) -> list[int]:
@@ -237,10 +245,6 @@ class ConjugacyResult:
     status: ConjugacyStatus
     conjugator: IntMatrix | None = None
     obstruction: str | None = None
-
-    @property
-    def found(self) -> bool:
-        return self.status is ConjugacyStatus.CONJUGATE
 
 
 def conjugacy_obstruction(a: IntMatrix, b: IntMatrix) -> str | None:

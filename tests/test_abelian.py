@@ -9,7 +9,6 @@ from ckbundle import (
     det,
     direct_sum,
     format_group,
-    is_isomorphic,
     matmul,
 )
 from ckbundle.bundle import random_unimodular
@@ -45,9 +44,9 @@ def test_cokernel_examples():
 
 
 def test_is_isomorphic():
-    assert not is_isomorphic(FgAbelianGroup(0, (2, 2)), FgAbelianGroup(0, (4,)))
-    assert is_isomorphic(FgAbelianGroup.free(1), FgAbelianGroup.free(1))
-    assert is_isomorphic(FgAbelianGroup(0, (2, 6)), FgAbelianGroup(0, (2, 6)))
+    assert FgAbelianGroup(0, (2, 2)) != FgAbelianGroup(0, (4,))
+    assert FgAbelianGroup.free(1) == FgAbelianGroup.free(1)
+    assert FgAbelianGroup(0, (2, 6)) == FgAbelianGroup(0, (2, 6))
 
 
 def test_direct_sum_examples():

@@ -336,3 +336,19 @@ def test_deeply_nested_json_is_a_parse_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: invalid JSON: ") and len(captured.err) < 200
+
+
+def test_json_non_integer_entry_is_named_not_echoed(capsys, monkeypatch):
+    import io
+
+    text = '{"rows": [[1], [[' + ", ".join(["1"] * 100_000) + "]]]}"
+    with pytest.raises(ParseError, match="^row 2: list entry is not an integer$"):
+        parse_matrix(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["invariants"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: row 2: list entry is not an integer\n"
+    for entry, kind in (("1.5", "float"), ('"x"', "str"), ("true", "bool"), ("null", "NoneType")):
+        with pytest.raises(ParseError, match=f"^row 1: {kind} entry is not an integer$"):
+            parse_matrix('{"rows": [[' + entry + "]]}")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -121,6 +122,32 @@ def test_det_multiplicative():
 def test_det_nonsquare():
     with pytest.raises(ValueError):
         det(IntMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_echelon_matches_rank_oracle():
+    # seeded rectangular inputs of low rank, with some columns zeroed out
+    from ckbundle.intmat import _echelon
+
+    rng = random.Random(48)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        k = rng.randint(0, min(rows, cols))
+        left = random_matrix(rng, rows, k, -3, 3).to_lists() if k else [[] for _ in range(rows)]
+        right = random_matrix(rng, k, cols, -3, 3).to_lists() if k else []
+        zeroed = set(rng.sample(range(cols), rng.randint(0, cols - 1)))
+        original = [[0] * cols for _ in range(rows)]
+        for i, j, t in product(range(rows), range(cols), range(k)):
+            if j not in zeroed:
+                original[i][j] += left[i][t] * right[t][j]
+        m = [row[:] for row in original]
+        pivots, sign = _echelon(m)
+        assert len(pivots) == rank_by_minors(original)
+        assert sign in (1, -1) and pivots == sorted(set(pivots))
+        assert not zeroed & set(pivots)
+        for t, c in enumerate(pivots):
+            assert m[t][c] != 0 and not any(m[t][:c])
+            assert not any(m[i][c] for i in range(t + 1, rows))
+        assert not any(any(row) for row in m[len(pivots) :])
 
 
 def test_trace_examples():

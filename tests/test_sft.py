@@ -1,7 +1,13 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ckbundle
 from ckbundle import (
     ConjugacyStatus,
     IntMatrix,
@@ -12,7 +18,6 @@ from ckbundle import (
     conjugacy_search,
     conjugate,
     det,
-    is_isomorphic,
     k0,
     matmul,
     search_se_witness,
@@ -108,6 +113,55 @@ def test_search_se_witness_matches_enumeration_oracle():
     assert None in outcomes and 1 in outcomes
 
 
+def test_intertwiners_match_box_oracle_rectangular_and_equal():
+    # independent a and b of different sizes, equal pairs, and degenerate
+    # inputs (zero, identity) whose intertwiner space is the whole box
+    from ckbundle.sft import _intertwiners
+
+    rng = random.Random(49)
+    pairs = [
+        (IntMatrix.zero(2, 2), IntMatrix.zero(1, 1)),
+        (IntMatrix.identity(2), IntMatrix.identity(2)),
+    ]
+    for i in range(60):
+        m, k = rng.randint(1, 3), rng.randint(1, 3)
+        a = random_nonnegative(rng, m, 3)
+        pairs.append((a, a) if i % 2 else (a, random_nonnegative(rng, k, 3)))
+    for a, b in pairs:
+        bound = 2 if a.rows * b.rows <= 4 else 1
+        assert [x.to_lists() for x in _intertwiners(a, b, bound)] == [
+            x
+            for x in bounded_matrices_by_sum(a.rows, b.rows, bound)
+            if matmul(a, IntMatrix(x)) == matmul(IntMatrix(x), b)
+        ]
+
+
+def test_se_search_c3_at_cli_defaults_finishes(tmp_path):
+    # the intertwiners of the 3-cycle-plus-identity matrix form a
+    # 3-dimensional space: 7^3 candidates at the default bound, not 7^9;
+    # the subprocess runs first, so a hang fails the test instead
+    from ckbundle.sft import _intertwiners
+
+    path = tmp_path / "c3.txt"
+    path.write_text("1 1 0\n0 1 1\n1 0 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ckbundle.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "ckbundle.cli", "se-search", path, path, "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["witness"] == {
+        "r": [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        "s": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "lag": 1,
+    }
+    c3 = IntMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert len(_intertwiners(c3, c3, 6)) == 343
+
+
 def test_verify_elementary_sse_examples():
     a = IntMatrix([[2]])
     r = IntMatrix([[1, 1]])
@@ -132,8 +186,8 @@ def test_elementary_sse_pairs_share_invariants():
         assert verify_elementary_sse(a, b, r, s)
         # (r, s, 1) is then a shift-equivalence witness as well
         assert verify_se_witness(a, b, SEWitness(r, s, 1))
-        assert is_isomorphic(k0(a), k0(b))
-        assert is_isomorphic(bowen_franks(a), bowen_franks(b))
+        assert k0(a) == k0(b)
+        assert bowen_franks(a) == bowen_franks(b)
         assert trace_sequence(a, 5) == trace_sequence(b, 5)
 
 
