@@ -98,27 +98,9 @@ def is_irreducible(a: IntMatrix) -> bool:
     return _strongly_connected(_adjacency(a))
 
 
-def _strongly_connected(adj: list[list[int]]) -> bool:
-    return _reaches_all(adj, 0) and _reaches_all(list(map(list, zip(*adj))), 0)
-
-
-def _reaches_all(adj: list[list[int]], start: int) -> bool:
-    n = len(adj)
-    seen = {start}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if adj[i][j] and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
-
-
-def _period(adj: list[list[int]]) -> int:
-    """Period of a strongly connected digraph (0 if it has no arcs): the gcd
-    over arcs u -> v of level[u] + 1 - level[v], levels from one BFS from 0
-    (Lind-Marcus, Symbolic Dynamics and Coding, 4.5)."""
+def _levels(adj: list[list[int]]) -> dict[int, int]:
+    """BFS levels from vertex 0, in BFS order: level[v] is the length of a
+    shortest path 0 -> v, for every v reachable from 0."""
     level = {0: 0}
     queue = [0]
     for u in queue:
@@ -126,7 +108,19 @@ def _period(adj: list[list[int]]) -> int:
             if x and v not in level:
                 level[v] = level[u] + 1
                 queue.append(v)
-    return gcd(*(level[u] + 1 - level[v] for u in queue for v, x in enumerate(adj[u]) if x))
+    return level
+
+
+def _strongly_connected(adj: list[list[int]]) -> bool:
+    return len(_levels(adj)) == len(adj) == len(_levels(list(zip(*adj))))
+
+
+def _period(adj: list[list[int]]) -> int:
+    """Period of a strongly connected digraph (0 if it has no arcs): the gcd
+    over arcs u -> v of level[u] + 1 - level[v], levels from one BFS from 0
+    (Lind-Marcus, Symbolic Dynamics and Coding, 4.5)."""
+    level = _levels(adj)
+    return gcd(*(level[u] + 1 - level[v] for u in level for v, x in enumerate(adj[u]) if x))
 
 
 def is_primitive(a: IntMatrix) -> bool:

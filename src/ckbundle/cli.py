@@ -67,7 +67,9 @@ def parse_matrix(text: str) -> IntMatrix:
                 digits = token.lstrip("+-").replace("_", "")
                 if digits.isdecimal() and 0 < _digit_limit() < len(digits):
                     raise _too_long(f"line {lineno}", len(digits)) from None
-                raise ParseError(f"line {lineno}: {token!r} is not an integer") from None
+                raise ParseError(
+                    f"line {lineno}: token of {len(token)} characters is not an integer"
+                ) from None
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -324,59 +324,31 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _smith(
-    d: list[list[int]],
-    row_mates: tuple[list[list[int]], ...],
-    col_mates: tuple[list[list[int]], ...],
-) -> None:
-    """Eliminate d (a list of row lists) in place to Smith normal form.
+def _smith(m: list[list[int]], nrows: int, ncols: int) -> None:
+    """Eliminate the leading nrows x ncols block of m (a list of row lists)
+    in place to Smith normal form.
 
-    Each row operation is applied to d and to every matrix in row_mates,
-    each column operation to d and to every matrix in col_mates. The
-    operations depend on d alone, so the mates only record them.
+    Row operations act on whole rows 0..nrows-1 and column operations on
+    whole columns 0..ncols-1, while pivots are read from the block alone, so
+    whatever a caller stacks beside the block records the operations: an
+    identity to its right collects u, an identity below it collects v.
 
     Pivots are chosen as the first (row-major) entry of minimal absolute
     value in the working submatrix, which keeps coefficient growth tame and
     makes the output deterministic. Diagonal signs are normalized to be
     nonnegative by row negations.
     """
-    nrows, ncols = len(d), len(d[0])
-    row_mats = (d, *row_mates)
-    col_mats = (d, *col_mates)
-
-    def swap_rows(i, j):
-        if i != j:
-            for mat in row_mats:
-                mat[i], mat[j] = mat[j], mat[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for mat in col_mats:
-                for row in mat:
-                    row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, mult):
-        for mat in row_mats:
-            mat[dst] = [x + mult * y for x, y in zip(mat[dst], mat[src])]
 
     def add_col(dst, src, mult):
-        for mat in col_mats:
-            for row in mat:
-                row[dst] += mult * row[src]
-
-    def transform_rows(i, j, p, q, r, s):
-        # [row_i; row_j] <- [[p, q], [r, s]] @ [row_i; row_j]; det must be +/-1
-        for mat in row_mats:
-            ri, rj = mat[i], mat[j]
-            mat[i] = [p * x + q * y for x, y in zip(ri, rj)]
-            mat[j] = [r * x + s * y for x, y in zip(ri, rj)]
+        for row in m:
+            row[dst] += mult * row[src]
 
     def find_pivot(t):
         best = None
         where = None
         for i in range(t, nrows):
             for j in range(t, ncols):
-                x = d[i][j]
+                x = m[i][j]
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     where = (i, j)
@@ -389,19 +361,23 @@ def _smith(
         if where is None:
             break
         while True:
-            swap_rows(t, where[0])
-            swap_cols(t, where[1])
-            pivot = d[t][t]
+            i, j = where
+            m[t], m[i] = m[i], m[t]
+            if j != t:
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+            top = m[t]
+            pivot = top[t]
             for i in range(t + 1, nrows):
-                q = d[i][t] // pivot
+                q = m[i][t] // pivot
                 if q:
-                    add_row(i, t, -q)
+                    m[i] = [x - q * y for x, y in zip(m[i], top)]
             for j in range(t + 1, ncols):
-                q = d[t][j] // pivot
+                q = top[j] // pivot
                 if q:
                     add_col(j, t, -q)
-            if all(d[i][t] == 0 for i in range(t + 1, nrows)) and all(
-                d[t][j] == 0 for j in range(t + 1, ncols)
+            if all(m[i][t] == 0 for i in range(t + 1, nrows)) and all(
+                top[j] == 0 for j in range(t + 1, ncols)
             ):
                 break
             # a remainder smaller than the pivot appeared; re-pivot on it
@@ -410,51 +386,55 @@ def _smith(
 
     rank = t
     for i in range(rank):
-        if d[i][i] < 0:
-            for mat in row_mats:
-                mat[i] = [-x for x in mat[i]]
+        if m[i][i] < 0:
+            m[i] = [-x for x in m[i]]
 
     # enforce the divisor chain d_i | d_{i+1} on the nonzero diagonal
     changed = True
     while changed:
         changed = False
         for i in range(rank - 1):
-            a_i, b_i = d[i][i], d[i + 1][i + 1]
+            a_i, b_i = m[i][i], m[i + 1][i + 1]
             if b_i % a_i:
                 g, x, y = _xgcd(a_i, b_i)
                 add_col(i, i + 1, 1)
-                transform_rows(i, i + 1, x, y, -(b_i // g), a_i // g)
+                # [row_i; row_i+1] <- [[x, y], [-b_i/g, a_i/g]] @ [row_i; row_i+1]
+                r, s, top, low = -(b_i // g), a_i // g, m[i], m[i + 1]
+                m[i] = [x * p + y * q for p, q in zip(top, low)]
+                m[i + 1] = [r * p + s * q for p, q in zip(top, low)]
                 add_col(i + 1, i, -(y * b_i // g))
                 changed = True
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over the integers, with its unimodular transforms."""
-    d = a.to_lists()
-    u = IntMatrix.identity(a.rows).to_lists()
-    v = IntMatrix.identity(a.cols).to_lists()
-    _smith(d, (u,), (v,))
-    return SmithDecomposition(IntMatrix(u), IntMatrix(d), IntMatrix(v))
+    """Smith normal form over the integers, with its unimodular transforms:
+    u collects in I_n stacked to the right of a, v in I_k stacked below it."""
+    n, k = a.shape
+    m = [row + e for row, e in zip(a.to_lists(), IntMatrix.identity(n).to_lists())]
+    m += IntMatrix.identity(k).to_lists()
+    _smith(m, n, k)
+    return SmithDecomposition(
+        IntMatrix(row[k:] for row in m[:n]),
+        IntMatrix(row[:k] for row in m[:n]),
+        IntMatrix(m[n:]),
+    )
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal of a, equal to smith_normal_form(a).diagonal(),
     computed without building the transforms u and v."""
     d = a.to_lists()
-    _smith(d, (), ())
-    return tuple(d[i][i] for i in range(min(a.rows, a.cols)))
+    _smith(d, *a.shape)
+    return tuple(d[i][i] for i in range(min(a.shape)))
 
 
 def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Z-basis of the integer kernel {x : a @ x = 0}, read off the Smith
-    decomposition: columns of v whose diagonal entry vanishes."""
-    dec = smith_normal_form(a)
-    diag = dec.diagonal()
-    basis = []
-    for j in range(a.cols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(dec.v.column(j))
-    return basis
+    """Z-basis of the integer kernel {x : a @ x = 0}: the columns of v
+    (stacked below a during elimination) whose diagonal entry vanishes."""
+    n, k = a.shape
+    m = a.to_lists() + IntMatrix.identity(k).to_lists()
+    _smith(m, n, k)
+    return [tuple(row[j] for row in m[n:]) for j in range(k) if j >= n or m[j][j] == 0]
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:

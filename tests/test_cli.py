@@ -352,3 +352,17 @@ def test_json_non_integer_entry_is_named_not_echoed(capsys, monkeypatch):
     for entry, kind in (("1.5", "float"), ('"x"', "str"), ("true", "bool"), ("null", "NoneType")):
         with pytest.raises(ParseError, match=f"^row 1: {kind} entry is not an integer$"):
             parse_matrix('{"rows": [[' + entry + "]]}")
+
+
+def test_text_non_integer_token_is_measured_not_echoed(capsys, monkeypatch):
+    import io
+
+    text = "1 " + "x" * 300_000
+    with pytest.raises(ParseError, match="^line 1: token of 300000 characters is not an integer$"):
+        parse_matrix(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["invariants"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: token of 300000 characters is not an integer\n"
+    assert len(captured.err) < 200

@@ -335,6 +335,38 @@ def test_snf_deterministic():
     assert smith_normal_form(a) == smith_normal_form(a)
 
 
+# (a, u, d, v) as smith_normal_form returns them: the pivot rule, the sign
+# normalisation and the divisor-chain step fix the transforms, not only d.
+PINNED_SMITH = [
+    # 2x3
+    ([[2, 4, 4], [-6, 6, 12]], [[1, 0], [3, 1]], [[2, 0, 0], [0, 6, 0]],
+     [[1, 0, -2], [0, -1, 4], [0, 1, -3]]),
+    # 3x2
+    ([[1, 2], [3, 4], [5, 6]], [[1, 0, 0], [3, -1, 0], [1, -2, 1]], [[1, 0], [0, 2], [0, 0]],
+     [[1, -2], [0, 1]]),
+    # zero row
+    ([[0, 0, 0], [1, 2, 3], [4, 5, 6]], [[0, 1, 0], [0, 4, -1], [1, 0, 0]],
+     [[1, 0, 0], [0, 3, 0], [0, 0, 0]], [[1, -2, 1], [0, 1, -2], [0, 0, 1]]),
+    # negative pivot, negated rows
+    ([[-3, 5], [7, -2]], [[0, -1], [-1, -17]], [[1, 0], [0, 29]], [[1, -2], [4, -7]]),
+    # divisor-chain step: 2 and 3, then 6 and 5, are coprime
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [[-1, 1, 0], [-3, 2, -1], [15, -10, 6]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 30]], [[1, -3, -15], [1, -2, -10], [0, 1, 6]]),
+]
+
+
+@pytest.mark.parametrize("a, u, d, v", PINNED_SMITH)
+def test_smith_transforms_pinned(a, u, d, v):
+    dec = smith_normal_form(IntMatrix(a))
+    assert (dec.u.to_lists(), dec.d.to_lists(), dec.v.to_lists()) == (u, d, v)
+    assert dec.u @ IntMatrix(a) @ dec.v == dec.d
+
+
+def test_kernel_basis_pinned():
+    a = IntMatrix([[2, 4, 6, 8], [1, 1, 1, 1]])
+    assert kernel_basis(a) == [(1, -2, 1, 0), (2, -3, 0, 1)]
+
+
 def test_kernel_examples():
     a = IntMatrix([[0, 0], [-2, 0]])
     # brute force over the box [-1, 1]^2: only vectors with first entry 0
