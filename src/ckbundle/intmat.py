@@ -38,7 +38,7 @@ class IntMatrix:
     __slots__ = ("_data",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(operator.index(x) for x in row) for row in rows)
+        data = tuple(tuple(map(operator.index, row)) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
@@ -164,9 +164,7 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
     b_cols = list(zip(*b.entries))
-    return IntMatrix(
-        [sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in a.entries
-    )
+    return IntMatrix([sum(map(operator.mul, row, col)) for col in b_cols] for row in a.entries)
 
 
 def matpow(a: IntMatrix, k: int) -> IntMatrix:
@@ -339,50 +337,38 @@ def _smith(m: list[list[int]], nrows: int, ncols: int) -> None:
     nonnegative by row negations.
     """
 
-    def add_col(dst, src, mult):
-        for row in m:
-            row[dst] += mult * row[src]
-
-    def find_pivot(t):
-        best = None
-        where = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    where = (i, j)
-        return where
-
-    limit = min(nrows, ncols)
     t = 0
-    while t < limit:
-        where = find_pivot(t)
-        if where is None:
+    while t < min(nrows, ncols):
+        # each iteration is one pivot step
+        best = 0
+        for i in range(t, nrows):
+            row = m[i]
+            for j in range(t, ncols):
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+        if not best:
             break
-        while True:
-            i, j = where
-            m[t], m[i] = m[i], m[t]
-            if j != t:
-                for row in m:
-                    row[t], row[j] = row[j], row[t]
-            top = m[t]
-            pivot = top[t]
-            for i in range(t + 1, nrows):
-                q = m[i][t] // pivot
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], top)]
-            for j in range(t + 1, ncols):
-                q = top[j] // pivot
-                if q:
-                    add_col(j, t, -q)
-            if all(m[i][t] == 0 for i in range(t + 1, nrows)) and all(
-                top[j] == 0 for j in range(t + 1, ncols)
-            ):
-                break
-            # a remainder smaller than the pivot appeared; re-pivot on it
-            where = find_pivot(t)
-        t += 1
+        m[t], m[pi] = m[pi], m[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+        top = m[t]
+        pivot = top[t]
+        for i in range(t + 1, nrows):
+            q = m[i][t] // pivot
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], top)]
+        quotients = [(j, q) for j in range(t + 1, ncols) if (q := top[j] // pivot)]
+        for row in m:
+            c = row[t]
+            if c:
+                for j, q in quotients:
+                    row[j] -= q * c
+        # advance once column t and row t are clear; otherwise a remainder
+        # smaller than the pivot is left and pivots again at the same t
+        if not any(top[t + 1 : ncols]) and not any(m[i][t] for i in range(t + 1, nrows)):
+            t += 1
 
     rank = t
     for i in range(rank):
@@ -397,12 +383,15 @@ def _smith(m: list[list[int]], nrows: int, ncols: int) -> None:
             a_i, b_i = m[i][i], m[i + 1][i + 1]
             if b_i % a_i:
                 g, x, y = _xgcd(a_i, b_i)
-                add_col(i, i + 1, 1)
+                for row in m:
+                    row[i] += row[i + 1]
                 # [row_i; row_i+1] <- [[x, y], [-b_i/g, a_i/g]] @ [row_i; row_i+1]
                 r, s, top, low = -(b_i // g), a_i // g, m[i], m[i + 1]
                 m[i] = [x * p + y * q for p, q in zip(top, low)]
                 m[i + 1] = [r * p + s * q for p, q in zip(top, low)]
-                add_col(i + 1, i, -(y * b_i // g))
+                c = -(y * b_i // g)
+                for row in m:
+                    row[i + 1] += c * row[i]
                 changed = True
 
 

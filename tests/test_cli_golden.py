@@ -199,3 +199,52 @@ def test_se_search_raw_lists(run):
         "witness found (lag 1)\nr:\n2 1\n1 0\ns:\n2 1\n1 0\n",
         "",
     )
+
+
+def test_se_search_no_witness_within_bounds(run):
+    argv = ("se-search", "a", "b", "--entry-bound", "0")
+    mats = {"a": "1 1\n1 0\n", "b": "0 1\n1 1\n"}
+    assert run(*argv, **mats) == (
+        0,
+        "no witness within bounds (not a proof of non-equivalence)\n",
+        "",
+    )
+    assert run(*argv, "--format", "json", **mats) == (
+        0,
+        _json({"witness": None, "obstruction": None, "definitive": False}),
+        "",
+    )
+
+
+def test_conj_search_unknown_at_depth_zero(run):
+    argv = ("conj-search", "a", "b", "--depth", "0")
+    mats = {"a": A2_TEXT, "b": "11 -28\n2 -5\n"}
+    assert run(*argv, **mats) == (0, "unknown at depth 0\n", "")
+    assert run(*argv, "--format", "json", **mats) == (
+        0,
+        _json({"status": "unknown", "conjugator": None, "obstruction": None}),
+        "",
+    )
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ('{"rows": []}', 'error: "rows" must be a nonempty list of rows\n'),
+        ('{"rows": [1, 2]}', "error: row 1 is not a list\n"),
+    ],
+)
+def test_malformed_json_rows_on_stdin(capsys, monkeypatch, text, err):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["invariants"]) == 3
+    assert capsys.readouterr() == ("", err)
+
+
+def test_invariants_rejects_rectangular(run):
+    assert run("invariants", "--input", "a", a="1 2 3\n4 5 6\n") == (
+        3,
+        "",
+        "error: invariants require a square matrix, got (2, 3)\n",
+    )

@@ -352,6 +352,22 @@ PINNED_SMITH = [
     # divisor-chain step: 2 and 3, then 6 and 5, are coprime
     ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [[-1, 1, 0], [-3, 2, -1], [15, -10, 6]],
      [[1, 0, 0], [0, 1, 0], [0, 0, 30]], [[1, -3, -15], [1, -2, -10], [0, 1, 6]]),
+    # the first pivot leaves remainder 1 at (1, 0), which pivots again at t = 0
+    ([[3, 5], [7, 4]], [[-2, 1], [7, -3]], [[1, 0], [0, 23]], [[1, 6], [0, 1]]),
+    # four pairwise-coprime entries: the divisor-chain loop runs a second round
+    ([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]],
+     [[-1, 1, 0, 0], [-3, 2, -1, 0], [-45, 30, -18, 13], [-105, 70, -42, 30]],
+     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 210]],
+     [[1, -3, -15, 1365], [1, -2, -10, 910], [0, 1, 6, -546], [0, 0, 1, -90]]),
+    # 4x6 with entries up to 50: many column operations land in v
+    ([[-21, -3, -2, -34, -26, 40], [-45, -40, -33, -19, 14, -24], [1, 32, -47, 8, 12, 8],
+      [-1, 13, 23, -26, 1, -39]],
+     [[0, 0, 1, 0], [0, 0, 1, 1], [1, 1, -10176, -10242],
+      [421286, 421285, -4286999587, -4314804418]],
+     [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
+     [[1, -150, -1353, 19735, -200345, -24995], [0, 0, -4204, -9508, 96523, 12043],
+      [0, -6, 1609, -8223, 83477, 10427], [0, 0, 50, -11617, 117934, 14700],
+      [0, -11, 17592, -228, 2311, 332], [0, 0, 0, -786, 7978, 1013]]),
 ]
 
 
@@ -365,6 +381,32 @@ def test_smith_transforms_pinned(a, u, d, v):
 def test_kernel_basis_pinned():
     a = IntMatrix([[2, 4, 6, 8], [1, 1, 1, 1]])
     assert kernel_basis(a) == [(1, -2, 1, 0), (2, -3, 0, 1)]
+    # rank 2 below 3 rows: the zero diagonal entry at row 2 marks a kernel column
+    a = IntMatrix([[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]])
+    assert kernel_basis(a) == [(-1, -1, 1, 0), (0, -2, 0, 1)]
+
+
+def _dense(seed, n):
+    rng = random.Random(seed)
+    return random_matrix(rng, n, n, -20, 20)
+
+
+def test_smith_diagonal_at_report_scale():
+    a = _dense(48, 48)
+    diag = smith_diagonal(a)
+    assert diag == smith_normal_form(a).diagonal()
+    assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
+    prod = 1
+    for x in diag:
+        prod *= x
+    assert prod == abs(det(a)) != 0
+
+
+def test_smith_transforms_at_report_scale():
+    a = _dense(32, 32)
+    dec = smith_normal_form(a)
+    assert dec.u @ a @ dec.v == dec.d
+    assert abs(det(dec.u)) == abs(det(dec.v)) == 1
 
 
 def test_kernel_examples():
