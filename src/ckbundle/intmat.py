@@ -47,6 +47,15 @@ class IntMatrix:
         self._data = data
 
     @classmethod
+    def _wrap(cls, data: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """The matrix whose rows are `data`, taken as is: the caller
+        guarantees a nonempty tuple of equal-length, nonempty tuples of
+        ints, so nothing is checked or copied."""
+        m = object.__new__(cls)
+        m._data = data
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -163,8 +172,10 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    b_cols = list(zip(*b.entries))
-    return IntMatrix([sum(map(operator.mul, row, col)) for col in b_cols] for row in a.entries)
+    b_cols = tuple(zip(*b.entries))
+    return IntMatrix._wrap(
+        tuple([tuple([sum(map(operator.mul, row, col)) for col in b_cols]) for row in a.entries])
+    )
 
 
 def matpow(a: IntMatrix, k: int) -> IntMatrix:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import islice, product
+from operator import mul
 from typing import Callable, Iterator
 
 from . import ck
@@ -33,6 +34,12 @@ __all__ = [
     "unimodular_words",
     "conjugate",
 ]
+
+
+# Largest (entry_bound + 1)^d that _intertwiners enumerates, d being the
+# number of free entries: 7^6 lets a non-derogatory 6x6 pair run at the
+# default entry bound 6, while a scalar 3x3 matrix (7^9 there) is refused.
+MAX_SE_CANDIDATES = 7**6
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,13 @@ def _intertwiners(a: IntMatrix, b: IntMatrix, bound: int) -> list[IntMatrix]:
     ]
     pivots, _ = _echelon(system)
     free = [c for c in range(rows * cols) if c not in pivots]
+    count = (bound + 1) ** len(free)
+    if count > MAX_SE_CANDIDATES:
+        raise ValueError(
+            f"shift-equivalence search would try (E+1)^d = {bound + 1}^{len(free)} = {count}"
+            f" candidates (d = {len(free)} free entries, E = {bound}), more than the limit"
+            f" {MAX_SE_CANDIDATES}; lower the entry bound"
+        )
     steps = [
         (c, row[c], [(j, x) for j, x in enumerate(row) if x and j > c])
         for c, row in reversed(list(zip(pivots, system)))
@@ -103,6 +117,8 @@ def search_se_witness(
     [0, entry_bound], lag ascending outermost, candidates by entry sum then
     row-major order; returns the first verified witness or None. An empty
     result is not a proof of non-equivalence (see se_obstruction for that).
+    Raises ValueError before enumerating when either side would have more
+    than MAX_SE_CANDIDATES candidates.
     """
     _check_se_search(a, b, max_lag, entry_bound)
     rs = _intertwiners(a, b, entry_bound)
@@ -175,46 +191,59 @@ def trace_sequence(a: IntMatrix, m: int) -> list[int]:
     return out
 
 
+def _elementary_moves(n: int) -> list[tuple[int, int, int, int]]:
+    """(i, j, s, s_inv) per generator of elementary_generators, in its order:
+    the generator is I + s·e_ij and its inverse I + s_inv·e_ij. The sign
+    flip diag(-1, 1, ..., 1) is I - 2·e_00, its own inverse."""
+    moves = [(i, j, s, -s) for i in range(n) for j in range(n) if i != j for s in (1, -1)]
+    moves.append((0, 0, -2, -2))
+    return moves
+
+
+def _add_column(m: IntMatrix, i: int, j: int, s: int) -> IntMatrix:
+    """m @ (I + s·e_ij): s times column i added to column j."""
+    return IntMatrix._wrap(tuple(r[:j] + (r[j] + s * r[i],) + r[j + 1 :] for r in m.entries))
+
+
+def _add_row(m: IntMatrix, i: int, j: int, s: int) -> IntMatrix:
+    """(I + s·e_ij) @ m: s times row j added to row i."""
+    rows = m.entries
+    new_row = tuple([x + s * y for x, y in zip(rows[i], rows[j])])
+    return IntMatrix._wrap(rows[:i] + (new_row,) + rows[i + 1 :])
+
+
 def elementary_generators(n: int) -> list[tuple[IntMatrix, IntMatrix]]:
     """Generators of GL_n(Z) as (matrix, inverse) pairs, in a fixed order:
     transvections E_ij(+1), E_ij(-1) by row-major (i, j), then the sign flip
     diag(-1, 1, ..., 1)."""
-    gens: list[tuple[IntMatrix, IntMatrix]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for sign in (1, -1):
-                e = IntMatrix.identity(n).to_lists()
-                e[i][j] = sign
-                f = IntMatrix.identity(n).to_lists()
-                f[i][j] = -sign
-                gens.append((IntMatrix(e), IntMatrix(f)))
-    flip = IntMatrix.diagonal([-1] + [1] * (n - 1))
-    gens.append((flip, flip))
-    return gens
+    ident = IntMatrix.identity(n)
+    return [
+        (_add_row(ident, i, j, s), _add_row(ident, i, j, s_inv))
+        for i, j, s, s_inv in _elementary_moves(n)
+    ]
 
 
 def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
     """(matrix, inverse) pairs for all products of at most max_length
     elementary generators, deduplicated, in breadth-first order starting from
     the identity. The order is deterministic, so "first hit" semantics are
-    reproducible."""
+    reproducible. A word w extended by a generator g is w @ g, a column
+    operation on w, with inverse g^{-1} @ w^{-1}, a row operation."""
     if max_length < 0:
         raise ValueError(f"search depth must be >= 0, got {max_length}")
     ident = IntMatrix.identity(n)
     yield ident, ident
     seen = {ident}
     frontier = [(ident, ident)]
-    gens = elementary_generators(n)
+    moves = _elementary_moves(n)
     for _ in range(max_length):
         nxt = []
         for w, w_inv in frontier:
-            for g, g_inv in gens:
-                m = matmul(w, g)
+            for i, j, s, s_inv in moves:
+                m = _add_column(w, i, j, s)
                 if m not in seen:
                     seen.add(m)
-                    pair = (m, matmul(g_inv, w_inv))
+                    pair = (m, _add_row(w_inv, i, j, s_inv))
                     nxt.append(pair)
                     yield pair
         if not nxt:
@@ -267,6 +296,12 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     generators; the first hit in enumeration order is returned. Invariant
     obstructions short-circuit with a definitive NOT_CONJUGATE, which a mere
     search miss (UNKNOWN) never implies.
+
+    The words of length <= h = ceil(search_depth / 2) are tried first. Every
+    longer candidate is v @ w with v, w among them, and it conjugates a to b
+    iff w @ a @ w^{-1} = v^{-1} @ b @ v; when no such pair meets, the result
+    is UNKNOWN without generating a longer word. Otherwise the walk resumes
+    where it stopped, so the first hit is the same as an unsplit walk's.
     """
     if not (a.is_square and b.is_square) or a.shape != b.shape:
         raise ValueError(f"conjugacy needs equal square shapes, got {a.shape} and {b.shape}")
@@ -278,8 +313,31 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     obstruction = conjugacy_obstruction(a, b)
     if obstruction is not None:
         return ConjugacyResult(ConjugacyStatus.NOT_CONJUGATE, obstruction=obstruction)
-    for u, u_inv in unimodular_words(a.rows, search_depth):
-        if matmul(u, a) == matmul(b, u):
-            assert matmul(matmul(u, a), u_inv) == b
+    tried = []
+    for u, u_inv in unimodular_words(a.rows, (search_depth + 1) // 2):
+        if _conjugates(u, u_inv, a, b):
+            return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
+        tried.append((u, u_inv))
+    near_a = {matmul(matmul(w, a), w_inv) for w, w_inv in tried}
+    if all(matmul(matmul(v_inv, b), v) not in near_a for v, v_inv in tried):
+        return ConjugacyResult(ConjugacyStatus.UNKNOWN)
+    # unimodular_words(n, search_depth) starts with the len(tried) words
+    # already tried, in the same order
+    for u, u_inv in islice(unimodular_words(a.rows, search_depth), len(tried), None):
+        if _conjugates(u, u_inv, a, b):
             return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
     return ConjugacyResult(ConjugacyStatus.UNKNOWN)
+
+
+def _conjugates(u: IntMatrix, u_inv: IntMatrix, a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether u @ a = b @ u. The first entries of u @ a @ 1 and b @ u @ 1,
+    1 the all-ones vector, are compared first: a few dot products that rule
+    out most words without a full product."""
+    ua_1 = sum(map(mul, u.row(0), map(sum, a.entries)))
+    if ua_1 != sum(map(mul, b.row(0), map(sum, u.entries))):
+        return False
+    ua = matmul(u, a)
+    if ua != matmul(b, u):
+        return False
+    assert matmul(ua, u_inv) == b
+    return True

@@ -5,6 +5,7 @@ enumeration, textbook recurrences the library has replaced) and shares no
 code with the library paths it verifies.
 """
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -155,4 +156,43 @@ def se_witness_by_enumeration(a, b, max_lag, bound):
             for s in ss:
                 if matmul_lists(r, s) == a_pow and matmul_lists(s, r) == b_pow:
                     return r, s, lag
+    return None
+
+
+@lru_cache(maxsize=None)
+def words_by_bfs(n, depth):
+    """Every product of at most depth elementary generators of GL_n(Z), as
+    tuples of rows, breadth-first from the identity: each word of the last
+    level times each generator on the right, a product kept only where it
+    first appears. The generators are E_ij(+1), E_ij(-1) by row-major
+    (i, j), then diag(-1, 1, ..., 1)."""
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = [
+        tuple(tuple(sign if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        for sign in (1, -1)
+    ]
+    gens.append(tuple(tuple(-1 if r == c == 0 else int(r == c) for c in range(n)) for r in range(n)))
+    words, seen, level = [ident], {ident}, [ident]
+    for _ in range(depth):
+        next_level = []
+        for w in level:
+            for g in gens:
+                m = tuple(map(tuple, matmul_lists(w, g)))
+                if m not in seen:
+                    seen.add(m)
+                    next_level.append(m)
+        words += next_level
+        level = next_level
+    return tuple(words)
+
+
+def conjugator_by_words(a, b, depth):
+    """First word u of words_by_bfs(len(a), depth) with u a = b u, as a list
+    of rows, or None if there is none."""
+    for u in words_by_bfs(len(a), depth):
+        if matmul_lists(u, a) == matmul_lists(b, u):
+            return [list(row) for row in u]
     return None

@@ -31,7 +31,13 @@ from ckbundle.bundle import random_unimodular
 from ckbundle.sft import elementary_generators, unimodular_words
 
 from conftest import A2, A3, FIB, random_matrix, random_nonnegative
-from oracles import bounded_matrices_by_sum, matpow_naive, se_witness_by_enumeration
+from oracles import (
+    bounded_matrices_by_sum,
+    conjugator_by_words,
+    matpow_naive,
+    se_witness_by_enumeration,
+    words_by_bfs,
+)
 
 
 def test_verify_se_witness_trivial():
@@ -136,22 +142,27 @@ def test_intertwiners_match_box_oracle_rectangular_and_equal():
         ]
 
 
-def test_se_search_c3_at_cli_defaults_finishes(tmp_path):
-    # the intertwiners of the 3-cycle-plus-identity matrix form a
-    # 3-dimensional space: 7^3 candidates at the default bound, not 7^9;
-    # the subprocess runs first, so a hang fails the test instead
-    from ckbundle.sft import _intertwiners
-
-    path = tmp_path / "c3.txt"
-    path.write_text("1 1 0\n0 1 1\n1 0 1\n")
+def _se_search_at_cli_defaults(tmp_path, text):
+    """Run `se-search` on a matrix against itself in a subprocess, so that a
+    hang fails the test after 30 s instead of stalling the suite."""
+    path = tmp_path / "m.txt"
+    path.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(ckbundle.__file__).parent.parent))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "ckbundle.cli", "se-search", path, path, "--format", "json"],
         capture_output=True,
         text=True,
         env=env,
         timeout=30,
     )
+
+
+def test_se_search_c3_at_cli_defaults_finishes(tmp_path):
+    # the intertwiners of the 3-cycle-plus-identity matrix form a
+    # 3-dimensional space: 7^3 candidates at the default bound, not 7^9
+    from ckbundle.sft import _intertwiners
+
+    done = _se_search_at_cli_defaults(tmp_path, "1 1 0\n0 1 1\n1 0 1\n")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["witness"] == {
         "r": [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
@@ -160,6 +171,25 @@ def test_se_search_c3_at_cli_defaults_finishes(tmp_path):
     }
     c3 = IntMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert len(_intertwiners(c3, c3, 6)) == 343
+
+
+def test_se_search_scalar_at_cli_defaults_is_refused(tmp_path):
+    # every 3x3 matrix commutes with I3: d = 9 free entries, 7^9 candidates
+    from ckbundle.sft import MAX_SE_CANDIDATES, _intertwiners
+
+    done = _se_search_at_cli_defaults(tmp_path, "1 0 0\n0 1 0\n0 0 1\n")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: shift-equivalence search would try (E+1)^d = 7^9 = 40353607 candidates"
+        " (d = 9 free entries, E = 6), more than the limit 117649; lower the entry bound\n"
+    )
+    # the limit sits between 3^9 and 4^9 candidates for I3
+    ident = IntMatrix.identity(3)
+    assert 3**9 <= MAX_SE_CANDIDATES < 4**9
+    assert len(_intertwiners(ident, ident, 2)) == 3**9
+    with pytest.raises(ValueError, match=r"4\^9 = 262144"):
+        _intertwiners(ident, ident, 3)
 
 
 def test_verify_elementary_sse_examples():
@@ -235,6 +265,16 @@ def test_unimodular_words_deduplicated():
     assert len(mats) == len(set(mats))
     for w, w_inv in words:
         assert matmul(w, w_inv) == IntMatrix.identity(2)
+    # conjugacy_search resumes a deeper walk after the words of a shallower
+    # one, so each walk must begin with every shallower walk, in order
+    for n in (1, 2, 3):
+        for depth in range(5):
+            deeper = list(unimodular_words(n, depth))
+            expected = [list(map(list, u)) for u in words_by_bfs(n, depth)]
+            assert [w.to_lists() for w, _ in deeper] == expected
+            for h in range(depth):
+                shallower = list(unimodular_words(n, h))
+                assert deeper[: len(shallower)] == shallower
 
 
 def test_conjugacy_search_self():
@@ -255,6 +295,74 @@ def test_conjugacy_search_round_trip():
         v = result.conjugator
         assert det(v) in (1, -1)
         assert conjugate(a, v) == b
+
+
+def _oracle_pair(rng, n, depth, kind):
+    """An (a, b) pair of n x n unimodular matrices of the given kind."""
+    if kind == "scalar":  # +-I, the only unimodular scalars
+        a = IntMatrix.diagonal([rng.choice((1, -1))] * n)
+        return a, a
+    if kind == "derogatory":  # a repeated eigenvalue, sheared or not
+        shear = IntMatrix.identity(n).to_lists()
+        shear[0][n - 1] += rng.randint(-2, 2) if n > 1 else 0
+        a = matmul(IntMatrix.diagonal([rng.choice((1, -1)) for _ in range(n)]), IntMatrix(shear))
+    else:
+        a = random_unimodular(n, rng.randint(1, 6), rng)
+    if kind == "unrelated":
+        return a, random_unimodular(n, rng.randint(1, 6), rng)
+    if kind == "full":
+        length = depth
+    elif kind == "beyond":
+        length = rng.randint(depth + 1, depth + 3)
+    else:
+        length = rng.randint(0, depth)
+    return a, conjugate(a, random_unimodular(n, length, rng))
+
+
+def test_conjugacy_search_matches_word_oracle():
+    # the split walk must return the unsplit walk's first hit, or UNKNOWN
+    # exactly when no word of length <= depth conjugates
+    rng = random.Random(47)
+    statuses, deep_hits = [], 0
+    for n in (1, 2, 3):
+        for depth in range(5 if n == 3 else 6):
+            for kind in ("scalar", "derogatory", "within", "full", "beyond", "unrelated") * 5:
+                a, b = _oracle_pair(rng, n, depth, kind)
+                result = conjugacy_search(a, b, search_depth=depth)
+                expected = conjugator_by_words(a.to_lists(), b.to_lists(), depth)
+                statuses.append(result.status)
+                if expected is None:
+                    assert result.status is not ConjugacyStatus.CONJUGATE
+                    assert result.conjugator is None
+                else:
+                    assert result.status is ConjugacyStatus.CONJUGATE
+                    assert result.conjugator.to_lists() == expected
+                    half = words_by_bfs(n, (depth + 1) // 2)
+                    deep_hits += tuple(map(tuple, expected)) not in half
+    assert len(statuses) >= 500
+    assert set(statuses) == set(ConjugacyStatus)
+    assert deep_hits >= 20  # hits that only the resumed walk reaches
+
+
+def test_conjugacy_search_unknown_work_is_bounded(monkeypatch):
+    # a benchmark-style pair: a 3x3 word conjugated by a word of length 24;
+    # the unsplit walk multiplies 32,069 times over all 6,338 words of
+    # length <= 4, the split one walks the 134 words of length <= 2
+    from ckbundle import sft
+
+    rng = random.Random(48)
+    a = random_unimodular(3, 6, rng)
+    b = conjugate(a, random_unimodular(3, 24, rng))
+    assert conjugator_by_words(a.to_lists(), b.to_lists(), 4) is None
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(sft, "matmul", counting)
+    assert conjugacy_search(a, b, search_depth=4).status is ConjugacyStatus.UNKNOWN
+    assert len(calls) < 2000
 
 
 def test_conjugacy_search_definitive_obstruction():
