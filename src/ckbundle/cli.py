@@ -215,13 +215,6 @@ def _matrix_text(m: IntMatrix) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in m)
 
 
-def _emit(obj: dict, text: str, fmt: str) -> None:
-    if fmt == "text":
-        print(text)
-    else:
-        print(json.dumps(obj, indent=2))
-
-
 def _read_matrix(path: str) -> IntMatrix:
     if path == "-":
         text = sys.stdin.read()
@@ -237,15 +230,14 @@ def _read_matrix(path: str) -> IntMatrix:
     return m
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple[dict, str, int]:
     report, warnings = build_report(_read_matrix(args.input))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    _emit(report.to_dict(), _render_report_text(report), args.format)
-    return 0
+    return report.to_dict(), _render_report_text(report), 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[dict, str, int]:
     a = _read_matrix(args.matrix_a)
     b = _read_matrix(args.matrix_b)
     verdict = bundle.compare_bundles(
@@ -257,15 +249,14 @@ def _cmd_compare(args) -> int:
         "certificate": _to_json(verdict.certificate),
     }
     text = f"verdict: {verdict.outcome.value}\nwitness: {verdict.witness}"
-    _emit(obj, text, args.format)
-    return {
+    return obj, text, {
         bundle.Outcome.HOMEOMORPHIC: 0,
         bundle.Outcome.DISTINCT: 1,
         bundle.Outcome.INCONCLUSIVE: 2,
     }[verdict.outcome]
 
 
-def _cmd_snf(args) -> int:
+def _cmd_snf(args) -> tuple[dict, str, int]:
     dec = smith_normal_form(_read_matrix(args.input))
     obj = {
         "u": dec.u.to_lists(),
@@ -284,17 +275,15 @@ def _cmd_snf(args) -> int:
             _matrix_text(dec.v),
         ]
     )
-    _emit(obj, text, args.format)
-    return 0
+    return obj, text, 0
 
 
-def _cmd_dilate(args) -> int:
+def _cmd_dilate(args) -> tuple[dict, str, int]:
     dilated = ck.edge_dilation(_read_matrix(args.input))
-    _emit(_to_json(dilated), _matrix_text(dilated), args.format)
-    return 0
+    return _to_json(dilated), _matrix_text(dilated), 0
 
 
-def _cmd_se_search(args) -> int:
+def _cmd_se_search(args) -> tuple[dict, str, int]:
     a = _read_matrix(args.matrix_a)
     b = _read_matrix(args.matrix_b)
     sft._check_se_search(a, b, args.max_lag, args.entry_bound)
@@ -319,11 +308,10 @@ def _cmd_se_search(args) -> int:
         text = f"not shift equivalent (definitive): {obstruction}"
     else:
         text = "no witness within bounds (not a proof of non-equivalence)"
-    _emit(obj, text, args.format)
-    return 0
+    return obj, text, 0
 
 
-def _cmd_conj_search(args) -> int:
+def _cmd_conj_search(args) -> tuple[dict, str, int]:
     a = _read_matrix(args.matrix_a)
     b = _read_matrix(args.matrix_b)
     result = sft.conjugacy_search(a, b, search_depth=args.depth)
@@ -338,17 +326,36 @@ def _cmd_conj_search(args) -> int:
         text = f"not conjugate (definitive): {result.obstruction}"
     else:
         text = f"unknown at depth {args.depth}"
-    _emit(obj, text, args.format)
-    return 0
+    return obj, text, 0
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=["text", "json", "json-like"],
-        default="text",
-        help="output format (json-like is an alias for json)",
-    )
+# Each subcommand: name, help, handler, and its arguments as (flag, type,
+# default, help). Every subcommand also takes --format, added last.
+_SUBCOMMANDS = (
+    ("invariants", "full invariant report for one matrix", _cmd_invariants, (
+        ("--input", None, "-", "matrix file, or - for stdin (default)"),
+    )),
+    ("compare", "compare two monodromy matrices", _cmd_compare, (
+        ("matrix_a", None, None, "first matrix file, or -"),
+        ("matrix_b", None, None, "second matrix file, or -"),
+        ("--depth", int, 4, "conjugacy search depth (default 4)"),
+    )),
+    ("snf", "Smith normal form", _cmd_snf, (("--input", None, "-", None),)),
+    ("dilate", "0/1 edge dilation of a nonnegative matrix", _cmd_dilate, (
+        ("--input", None, "-", None),
+    )),
+    ("se-search", "bounded shift-equivalence witness search", _cmd_se_search, (
+        ("matrix_a", None, None, None),
+        ("matrix_b", None, None, None),
+        ("--max-lag", int, 3, "largest lag to try (default 3)"),
+        ("--entry-bound", int, 6, "entry bound (default 6)"),
+    )),
+    ("conj-search", "bounded GL_n(Z) conjugacy search", _cmd_conj_search, (
+        ("matrix_a", None, None, None),
+        ("matrix_b", None, None, None),
+        ("--depth", int, 4, "word length bound (default 4)"),
+    )),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -357,56 +364,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of integer matrices and torus-bundle monodromies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="full invariant report for one matrix")
-    p.add_argument("--input", default="-", help="matrix file, or - for stdin (default)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_invariants)
-
-    p = sub.add_parser("compare", help="compare two monodromy matrices")
-    p.add_argument("matrix_a", help="first matrix file, or -")
-    p.add_argument("matrix_b", help="second matrix file, or -")
-    p.add_argument("--depth", type=int, default=4, help="conjugacy search depth (default 4)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("snf", help="Smith normal form")
-    p.add_argument("--input", default="-")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_snf)
-
-    p = sub.add_parser("dilate", help="0/1 edge dilation of a nonnegative matrix")
-    p.add_argument("--input", default="-")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_dilate)
-
-    p = sub.add_parser("se-search", help="bounded shift-equivalence witness search")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.add_argument("--max-lag", type=int, default=3, help="largest lag to try (default 3)")
-    p.add_argument("--entry-bound", type=int, default=6, help="entry bound (default 6)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_se_search)
-
-    p = sub.add_parser("conj-search", help="bounded GL_n(Z) conjugacy search")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.add_argument("--depth", type=int, default=4, help="word length bound (default 4)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_conj_search)
-
+    for name, help_text, handler, arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, type_, default, arg_help in arguments:
+            p.add_argument(flag, type=type_, default=default, help=arg_help)
+        p.add_argument(
+            "--format",
+            choices=["text", "json", "json-like"],
+            default="text",
+            help="output format (json-like is an alias for json)",
+        )
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.format == "json-like":
-        args.format = "json"
     try:
-        return args.handler(args)
-    except (ParseError, ValueError, OSError) as exc:
+        obj, text, status = args.handler(args)
+        print(text if args.format == "text" else json.dumps(obj, indent=2))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return status
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ckbundle
 from ckbundle import IntMatrix
 
 A2 = IntMatrix([[5, 2], [2, 1]])
@@ -20,6 +25,22 @@ def random_matrix(rng: random.Random, rows: int, cols: int, lo: int = -20, hi: i
 
 def random_nonnegative(rng: random.Random, n: int, hi: int = 5) -> IntMatrix:
     return IntMatrix([[rng.randint(0, hi) for _ in range(n)] for _ in range(n)])
+
+
+def cli_in_subprocess(tmp_path, text, *argv):
+    """Run the CLI in a subprocess from tmp_path, where argv names a file
+    m.txt holding text, so that a hang fails the test after 30 s instead of
+    stalling the suite."""
+    (tmp_path / "m.txt").write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(ckbundle.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "ckbundle.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=30,
+    )
 
 
 @pytest.fixture

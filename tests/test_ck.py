@@ -225,6 +225,20 @@ def test_edge_dilation_rejects():
         edge_dilation(IntMatrix([[1, 2, 0], [0, 1, 1]]))
 
 
+def test_edge_dilation_arc_limit():
+    # the limit bounds the arcs x arcs output before any of it is built;
+    # a 0/1 matrix is returned as it is, whatever its entry sum
+    from ckbundle.ck import MAX_DILATION_ARCS
+
+    assert edge_dilation(IntMatrix([[MAX_DILATION_ARCS]])).rows == MAX_DILATION_ARCS
+    for a in (IntMatrix([[MAX_DILATION_ARCS, 1], [0, 0]]), IntMatrix([[10**18]])):
+        message = rf"E = {sum(map(sum, a))} arcs .* limit {MAX_DILATION_ARCS}$"
+        with pytest.raises(ValueError, match=message):
+            edge_dilation(a)
+    ones = IntMatrix([[1] * 40] * 40)
+    assert edge_dilation(ones) is ones
+
+
 def test_edge_dilation_preserves_invariants():
     rng = random.Random(35)
     done = 0

@@ -6,7 +6,7 @@ import pytest
 from ckbundle import IntMatrix
 from ckbundle.cli import InvariantReport, ParseError, build_report, main, parse_matrix
 
-from conftest import A2
+from conftest import A2, cli_in_subprocess
 
 A2_TEXT = "5 2\n2 1\n"
 A3_TEXT = "5 1\n4 1\n"
@@ -179,6 +179,16 @@ def test_cli_dilate(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1 1\n1 1"
 
 
+def test_cli_dilate_over_the_arc_limit_exits_3(tmp_path):
+    # 100000 arcs would be a 10^10-entry matrix: refused before it is built
+    done = cli_in_subprocess(tmp_path, "100000\n", "dilate", "--input", "m.txt")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: edge dilation would build E = 100000 arcs (the entry sum), more than the"
+        " limit 1024\n"
+    )
+
+
 def test_cli_se_search(tmp_path, capsys):
     a = _write(tmp_path, "a.txt", A2_TEXT)
     b = _write(tmp_path, "b.txt", A3_TEXT)
@@ -215,12 +225,103 @@ def test_cli_text_and_json_agree(tmp_path, capsys):
     assert f"det:            {report.det}" in text
 
 
-def test_cli_json_like_alias(tmp_path, capsys):
-    code = main(
-        ["invariants", "--input", _write(tmp_path, "a2.txt", A2_TEXT), "--format", "json-like"]
-    )
-    assert code == 0
-    json.loads(capsys.readouterr().out)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--input", "a"],
+        ["compare", "a", "b"],
+        ["snf", "--input", "a"],
+        ["dilate", "--input", "a"],
+        ["se-search", "a", "b"],
+        ["conj-search", "a", "b"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_json_like_alias(tmp_path, capsys, argv):
+    paths = {"a": _write(tmp_path, "a.txt", A2_TEXT), "b": _write(tmp_path, "b.txt", A3_TEXT)}
+    argv = [paths.get(x, x) for x in argv]
+    runs = []
+    for fmt in ("json", "json-like"):
+        runs.append((main([*argv, "--format", fmt]), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (1 if argv[0] == "compare" else 0)  # A2 and A3 are Distinct
+    json.loads(runs[0][1])
+
+
+def test_cli_closed_pipe_exits_3(capsys, monkeypatch):
+    import io
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(A2_TEXT))
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["invariants"]) == 3
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+FORMAT_HELP = ["--format {text,json,json-like}", "output format (json-like is an alias for json)"]
+HELP_SCREENS = {
+    "": [
+        "Exact invariants of integer matrices and torus-bundle monodromies.",
+        "{invariants,compare,snf,dilate,se-search,conj-search}",
+        "invariants", "full invariant report for one matrix",
+        "compare", "compare two monodromy matrices",
+        "snf", "Smith normal form",
+        "dilate", "0/1 edge dilation of a nonnegative matrix",
+        "se-search", "bounded shift-equivalence witness search",
+        "conj-search", "bounded GL_n(Z) conjugacy search",
+    ],
+    "invariants": ["--input INPUT", "matrix file, or - for stdin (default)", *FORMAT_HELP],
+    "compare": [
+        "matrix_a", "first matrix file, or -",
+        "matrix_b", "second matrix file, or -",
+        "--depth DEPTH", "conjugacy search depth (default 4)",
+        *FORMAT_HELP,
+    ],
+    "snf": ["--input INPUT", *FORMAT_HELP],
+    "dilate": ["--input INPUT", *FORMAT_HELP],
+    "se-search": [
+        "matrix_a", "matrix_b",
+        "--max-lag MAX_LAG", "largest lag to try (default 3)",
+        "--entry-bound ENTRY_BOUND", "entry bound (default 6)",
+        *FORMAT_HELP,
+    ],
+    "conj-search": [
+        "matrix_a", "matrix_b", "--depth DEPTH", "word length bound (default 4)", *FORMAT_HELP
+    ],
+}
+
+
+@pytest.mark.parametrize("command", HELP_SCREENS, ids=lambda c: c or "ckbundle")
+def test_cli_help_lists_arguments_in_order(capsys, monkeypatch, command):
+    # ordered substrings, not the whole screen: argparse layout varies across
+    # Python versions. The usage line repeats the options, so the search
+    # starts below it.
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command.split(), "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: ckbundle", *command.split(), "[-h]"]))
+    at = out.index("\n\n")
+    for text in HELP_SCREENS[command]:
+        at = out.index(text, at) + len(text)
+
+
+def test_readme_subcommand_table_matches_parser():
+    import argparse
+    import re
+    from pathlib import Path
+
+    from ckbundle.cli import _build_parser
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme[readme.index("Subcommands:") :].split("\n\n")[1]
+    named = re.findall(r"^\| `([a-z-]+)`", table, flags=re.M)
+    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert named == list(action.choices)
 
 
 def test_cli_parse_error_reaches_user(tmp_path, capsys):

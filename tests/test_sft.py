@@ -1,13 +1,8 @@
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import ckbundle
 from ckbundle import (
     ConjugacyStatus,
     IntMatrix,
@@ -30,7 +25,7 @@ from ckbundle import (
 from ckbundle.bundle import random_unimodular
 from ckbundle.sft import elementary_generators, unimodular_words
 
-from conftest import A2, A3, FIB, random_matrix, random_nonnegative
+from conftest import A2, A3, FIB, cli_in_subprocess, random_matrix, random_nonnegative
 from oracles import (
     bounded_matrices_by_sum,
     conjugator_by_words,
@@ -143,18 +138,8 @@ def test_intertwiners_match_box_oracle_rectangular_and_equal():
 
 
 def _se_search_at_cli_defaults(tmp_path, text):
-    """Run `se-search` on a matrix against itself in a subprocess, so that a
-    hang fails the test after 30 s instead of stalling the suite."""
-    path = tmp_path / "m.txt"
-    path.write_text(text)
-    env = dict(os.environ, PYTHONPATH=str(Path(ckbundle.__file__).parent.parent))
-    return subprocess.run(
-        [sys.executable, "-m", "ckbundle.cli", "se-search", path, path, "--format", "json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    """Run `se-search` on a matrix against itself in a subprocess."""
+    return cli_in_subprocess(tmp_path, text, "se-search", "m.txt", "m.txt", "--format", "json")
 
 
 def test_se_search_c3_at_cli_defaults_finishes(tmp_path):
