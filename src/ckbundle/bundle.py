@@ -130,11 +130,6 @@ def ck_functor(b: TorusBundle) -> CKFunctorImage:
     )
 
 
-def _theorem1_holds(h_1: FgAbelianGroup, k_0: FgAbelianGroup) -> bool:
-    """Theorem 1: H1 of the bundle is Z + K0 of its monodromy."""
-    return h_1 == _z_plus(k_0)
-
-
 def theorem1_check(b: TorusBundle) -> bool:
     """Verify that H1 of the bundle is isomorphic to Z + K0, with K0 taken on
     the bundle's own monodromy.
@@ -144,7 +139,7 @@ def theorem1_check(b: TorusBundle) -> bool:
     therefore indicates a genuine bug and is surfaced, never swallowed. H1
     (from A - I) and K0 (from I - A^t) come from two independent Smith forms.
     """
-    return _theorem1_holds(h1(b), ck.k0(b.monodromy))
+    return h1(b) == _z_plus(ck.k0(b.monodromy))
 
 
 class Outcome(Enum):
@@ -182,9 +177,11 @@ def compare_bundles(
         )
     if search_depth < 0:
         raise ValueError(f"search depth must be >= 0, got {search_depth}")
-    rungs = [("H1", h1)]
-    if normalize_monodromy(b1).flipped == normalize_monodromy(b2).flipped:
-        rungs.insert(0, ("K0", lambda b: ck_functor(b).k0))
+    f1, f2 = normalize_monodromy(b1).flipped, normalize_monodromy(b2).flipped
+    rungs = [("K0", lambda b: ck_functor(b).k0)] if f1 == f2 else []
+    # unflipped, K0 and H1 share one Smith diagonal: H1 cannot differ once K0 agrees
+    if f1 or f2:
+        rungs.append(("H1", h1))
     difference = sft._first_difference(b1, b2, rungs)
     if difference is not None:
         return ComparisonVerdict(Outcome.DISTINCT, witness=difference)

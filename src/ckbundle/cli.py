@@ -109,7 +109,9 @@ class InvariantReport:
 
     Bundle fields (normalized, h1, alexander, theorem1_check) are None when
     the matrix is not unimodular; irreducible/primitive are None when the
-    matrix has a negative entry.
+    matrix has a negative entry. h1 is read off K0's Smith diagonal, so
+    theorem1_check holds by construction; `bundle.theorem1_check` is the
+    check from two independent Smith forms.
     """
 
     matrix: IntMatrix
@@ -169,9 +171,10 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
     if d in (1, -1):
         b = bundle.TorusBundle(monodromy=m, dimension=m.rows)
         normalized = bundle.normalize_monodromy(b).flipped
-        h_1 = bundle.h1(b)
+        # H1 = Z + coker(A - I), and A - I has K0's Smith diagonal (that of
+        # I - A^t, up to transpose and sign), so Theorem 1 holds by construction
+        h_1, thm1 = bundle._z_plus(k0), True
         alexander = bundle.alexander_polynomial(b)
-        thm1 = bundle._theorem1_holds(h_1, k0)
     else:
         warnings.append(
             f"determinant {d} is not +/-1: bundle fields (h1, alexander, "

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from ckbundle import (
+    ConjugacyStatus,
     FgAbelianGroup,
     IntMatrix,
     IntPolynomial,
@@ -11,6 +13,7 @@ from ckbundle import (
     alexander_polynomial,
     ck_functor,
     compare_bundles,
+    conjugacy_search,
     conjugate,
     det,
     h1,
@@ -20,6 +23,7 @@ from ckbundle import (
     normalize_monodromy,
     random_unimodular,
     theorem1_check,
+    unimodular_inverse,
 )
 
 from conftest import A2, A3, a1
@@ -224,6 +228,56 @@ def test_compare_inconclusive_without_certificate():
     b = conjugate(a, IntMatrix([[1, 3], [0, 1]]))
     verdict = compare_bundles(make_bundle(a), make_bundle(b), search_depth=0)
     assert verdict.outcome is Outcome.INCONCLUSIVE
+
+
+def _reference_verdict(b1, b2, search_depth):
+    """compare_bundles from the full ladder: K0 of the functor images when
+    the flips match, then H1 always, then the conjugacy search."""
+    rungs = [("H1", h1)]
+    if normalize_monodromy(b1).flipped == normalize_monodromy(b2).flipped:
+        rungs.insert(0, ("K0", lambda b: ck_functor(b).k0))
+    for name, invariant in rungs:
+        x, y = invariant(b1), invariant(b2)
+        if x != y:
+            return Outcome.DISTINCT, f"{name}: {x} vs {y}"
+    result = conjugacy_search(b1.monodromy, b2.monodromy, search_depth)
+    if result.status is ConjugacyStatus.CONJUGATE:
+        return Outcome.HOMEOMORPHIC, f"monodromies conjugate via {result.conjugator.to_lists()}"
+    if result.status is ConjugacyStatus.NOT_CONJUGATE:
+        return (
+            Outcome.INCONCLUSIVE,
+            f"no invariant differs; monodromies not conjugate ({result.obstruction})",
+        )
+    return (
+        Outcome.INCONCLUSIVE,
+        f"no invariant differs; no conjugator found at depth {search_depth}",
+    )
+
+
+def test_compare_matches_the_full_ladder():
+    # the pruned ladder skips H1 when neither side is flipped; every verdict
+    # and witness must still be the full ladder's
+    rng = random.Random(58)
+    flips, witnesses = Counter(), Counter()
+    for _ in range(500):
+        n = rng.randint(2, 4)
+        a = random_unimodular(n, rng.randint(0, 8), rng)
+        u = random_unimodular(n, rng.randint(0, 4), rng)
+        b = rng.choice(
+            [
+                conjugate(a, u),
+                conjugate(-a, u),
+                conjugate(unimodular_inverse(a), u),
+                random_unimodular(n, rng.randint(0, 8), rng),
+            ]
+        )
+        b1, b2 = make_bundle(rng.choice([a, -a])), make_bundle(rng.choice([b, -b]))
+        verdict = compare_bundles(b1, b2, search_depth=1)
+        assert (verdict.outcome, verdict.witness) == _reference_verdict(b1, b2, 1)
+        flips[normalize_monodromy(b1).flipped, normalize_monodromy(b2).flipped] += 1
+        witnesses[verdict.witness[:3]] += 1
+    assert min(flips.values()) > 50 and len(flips) == 4
+    assert min(witnesses[w] for w in ("K0:", "H1:", "no ")) > 20
 
 
 def test_random_unimodular_is_unimodular():

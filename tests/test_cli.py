@@ -1,12 +1,13 @@
 import json
+import random
 import sys
 
 import pytest
 
-from ckbundle import IntMatrix
+from ckbundle import IntMatrix, bundle, compare_bundles, det, make_bundle, random_unimodular, trace
 from ckbundle.cli import InvariantReport, ParseError, build_report, main, parse_matrix
 
-from conftest import A2, cli_in_subprocess
+from conftest import A2, A3, cli_in_subprocess
 
 A2_TEXT = "5 2\n2 1\n"
 A3_TEXT = "5 1\n4 1\n"
@@ -401,7 +402,20 @@ def test_cli_se_search_skips_search_when_obstructed(tmp_path, capsys, monkeypatc
     )
 
 
-@pytest.mark.parametrize("m, calls", [(A2, 2), (IntMatrix([[2, 1], [1, 3]]), 1)])
+# the inverse of the companion of t^3 - 3t^2 - 2t - 1: det 1, trace -2
+M_INV = IntMatrix([[-2, 1, 0], [-3, 0, 1], [1, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    "m, calls",
+    [
+        (A2, 1),
+        (IntMatrix([[2, 1], [1, 3]]), 1),
+        (M_INV, 1),
+        (IntMatrix([[-2, 1], [1, 0]]), 1),  # det -1, trace -2
+        (-IntMatrix.identity(3), 1),
+    ],
+)
 def test_build_report_smith_calls(monkeypatch, m, calls):
     # Smith factorizations through either entry point, counted wherever it
     # is bound; a report reads only diagonals, so it asks for no transforms
@@ -423,6 +437,74 @@ def test_build_report_smith_calls(monkeypatch, m, calls):
     assert len(seen["smith_normal_form"]) + len(seen["smith_diagonal"]) == calls
     assert seen["smith_normal_form"] == []
     assert report.bowen_franks == report.k0
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """The matrices of every Smith factorization, through either entry
+    point, wherever it is bound."""
+    import ckbundle
+    from ckbundle import intmat
+
+    log = []
+    for name in ("smith_normal_form", "smith_diagonal"):
+        original = getattr(intmat, name)
+
+        def counting(a, original=original):
+            log.append(a)
+            return original(a)
+
+        for module in vars(ckbundle).values():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return log
+
+
+@pytest.mark.parametrize(
+    "a, b, calls",
+    [
+        # neither side flipped: K0 on both sides, then K0 in the conjugacy
+        # obstruction; H1 would only repeat K0's diagonal
+        (A2, A2, 4),
+        (A2, A3, 2),
+        # both flipped: K0 of -A and H1 of A differ, so both rungs run
+        (-A2, -A2, 6),
+        (-A2, -A3, 2),
+        # one flipped: H1 only; then the H1 rung or the trace sequences differ
+        (M_INV, IntMatrix([[0, 0, 1], [1, 0, 2], [0, 1, 3]]), 2),
+        (-IntMatrix.identity(2), IntMatrix.identity(2), 2),
+    ],
+)
+def test_compare_bundles_smith_calls(smith_calls, a, b, calls):
+    compare_bundles(make_bundle(a), make_bundle(b))
+    assert len(smith_calls) == calls
+
+
+def _equality_corpus():
+    """Unimodular matrices: random words for n = 1..12, +/-I, det -1
+    matrices and negative-trace matrices, all seeded."""
+    rng = random.Random(57)
+    corpus = []
+    for n in range(1, 13):
+        ident = IntMatrix.identity(n)
+        flip = IntMatrix([[-1 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+        corpus += [ident, -ident, flip]
+        for _ in range(6):
+            a = random_unimodular(n, rng.randint(0, 3 * n), rng)
+            corpus += [a, -a, a @ flip]
+    return corpus
+
+
+def test_report_h1_equals_independent_h1():
+    corpus = _equality_corpus()
+    assert sum(det(m) == -1 for m in corpus) > 50
+    assert sum(trace(m) < 0 for m in corpus) > 50
+    for m in corpus:
+        report, _ = build_report(m)
+        b = make_bundle(m)
+        assert report.h1 == bundle.h1(b), m
+        assert report.theorem1_check is True
+        assert bundle.theorem1_check(b), m
 
 
 def test_deeply_nested_json_is_a_parse_error(capsys, monkeypatch):

@@ -122,6 +122,86 @@ def test_negative_entries_report_dashes_and_nulls(run):
     assert '"irreducible": null,\n  "primitive": null,' in out
 
 
+NEGATIVE_WARNING = "warning: matrix has negative entries: irreducible/primitive are omitted\n"
+
+# -I and the inverse of the companion of t^3 - 3t^2 - 2t - 1: both
+# sign-flipped, where K0 of the normalized matrix differs from the report's
+SIGN_FLIP_REPORTS = [
+    (
+        "-1 0\n0 -1\n",
+        """\
+matrix:         [[-1, 0], [0, -1]]
+det:            1
+trace:          -2
+normalized:     True
+k0:             Z_2 + Z_2
+k1:             0
+bowen_franks:   Z_2 + Z_2
+h1:             Z + Z_2 + Z_2
+alexander:      t^2 + 2t + 1
+irreducible:    -
+primitive:      -
+theorem1_check: True
+""",
+        {
+            "matrix": {"rows": [[-1, 0], [0, -1]]},
+            "det": 1,
+            "trace": -2,
+            "normalized": True,
+            "k0": {"free_rank": 0, "invariant_factors": [2, 2]},
+            "k1": {"free_rank": 0, "invariant_factors": []},
+            "bowen_franks": {"free_rank": 0, "invariant_factors": [2, 2]},
+            "h1": {"free_rank": 1, "invariant_factors": [2, 2]},
+            "alexander": [1, 2, 1],
+            "irreducible": None,
+            "primitive": None,
+            "theorem1_check": True,
+        },
+    ),
+    (
+        "-2 1 0\n-3 0 1\n1 0 0\n",
+        """\
+matrix:         [[-2, 1, 0], [-3, 0, 1], [1, 0, 0]]
+det:            1
+trace:          -2
+normalized:     True
+k0:             Z_5
+k1:             0
+bowen_franks:   Z_5
+h1:             Z + Z_5
+alexander:      t^3 + 2t^2 + 3t - 1
+irreducible:    -
+primitive:      -
+theorem1_check: True
+""",
+        {
+            "matrix": {"rows": [[-2, 1, 0], [-3, 0, 1], [1, 0, 0]]},
+            "det": 1,
+            "trace": -2,
+            "normalized": True,
+            "k0": {"free_rank": 0, "invariant_factors": [5]},
+            "k1": {"free_rank": 0, "invariant_factors": []},
+            "bowen_franks": {"free_rank": 0, "invariant_factors": [5]},
+            "h1": {"free_rank": 1, "invariant_factors": [5]},
+            "alexander": [-1, 3, 2, 1],
+            "irreducible": None,
+            "primitive": None,
+            "theorem1_check": True,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("matrix, text, obj", SIGN_FLIP_REPORTS, ids=["minus-I", "m-inverse"])
+def test_sign_flipped_reports(run, matrix, text, obj):
+    assert run("invariants", "--input", "a", a=matrix) == (0, text, NEGATIVE_WARNING)
+    assert run("invariants", "--input", "a", "--format", "json", a=matrix) == (
+        0,
+        _json(obj),
+        NEGATIVE_WARNING,
+    )
+
+
 def test_compare_certificate_rows(run):
     b = "7 -4\n2 -1\n"  # [[1, 1], [0, 1]] A2 [[1, 1], [0, 1]]^-1
     assert run("compare", "a", "b", "--format", "json", a=A2_TEXT, b=b) == (
