@@ -7,7 +7,6 @@ therefore defined for any square matrix, admissible or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .abelian import FgAbelianGroup, cokernel
@@ -16,7 +15,6 @@ from .intmat import IntMatrix, _require_square
 __all__ = [
     "NotNonnegative",
     "DegenerateRelations",
-    "CKDescriptor",
     "make_descriptor",
     "k0",
     "k1",
@@ -41,24 +39,16 @@ class DegenerateRelations(ValueError):
     relations would force one of the generating isometries to vanish."""
 
 
-@dataclass(frozen=True)
-class CKDescriptor:
-    """A validated defining matrix together with the number n of generating
-    partial isometries (symbolic only; no operator model is built)."""
-
-    matrix: IntMatrix
-    n: int
-
-
 def _require_nonnegative(a: IntMatrix, what: str) -> None:
     if not a.is_nonnegative:
         raise NotNonnegative(f"{what} requires nonnegative entries")
 
 
-def make_descriptor(a: IntMatrix) -> CKDescriptor:
-    """Validate a as a Cuntz-Krieger defining matrix.
+def make_descriptor(a: IntMatrix) -> IntMatrix:
+    """Validate a as a Cuntz-Krieger defining matrix and return it.
 
-    Requires a square nonnegative matrix with no zero row and no zero column.
+    Requires a square nonnegative matrix with no zero row and no zero column;
+    its size is the number of generating partial isometries.
     """
     if not a.is_square:
         raise ValueError(f"descriptor matrix must be square, got {a.shape}")
@@ -69,7 +59,7 @@ def make_descriptor(a: IntMatrix) -> CKDescriptor:
     for j in range(a.cols):
         if all(x == 0 for x in a.column(j)):
             raise DegenerateRelations(f"column {j} is zero")
-    return CKDescriptor(matrix=a, n=a.rows)
+    return a
 
 
 def k0(a: IntMatrix) -> FgAbelianGroup:

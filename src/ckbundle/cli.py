@@ -75,8 +75,6 @@ def parse_matrix(text: str) -> IntMatrix:
         elif len(row) != width:
             raise ParseError(f"line {lineno}: expected {width} entries, got {len(row)}")
         rows.append(row)
-    if not rows:
-        raise ParseError("empty input")
     return IntMatrix(rows)
 
 

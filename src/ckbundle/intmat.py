@@ -133,13 +133,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self._data))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"cannot add {self.shape} and {other.shape} matrices")
-        return IntMatrix(
-            [x + y for x, y in zip(r, s)] for r, s in zip(self._data, other._data)
-        )
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError(f"cannot subtract {other.shape} from {self.shape}")
@@ -150,17 +143,8 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([-x for x in row] for row in self._data)
 
-    def __mul__(self, scalar: int) -> "IntMatrix":
-        c = operator.index(scalar)
-        return IntMatrix([c * x for x in row] for row in self._data)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return matmul(self, other)
-
-    def __pow__(self, k: int) -> "IntMatrix":
-        return matpow(self, k)
 
 
 def _require_square(a: IntMatrix, what: str) -> None:

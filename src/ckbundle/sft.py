@@ -24,7 +24,6 @@ __all__ = [
     "verify_se_witness",
     "search_se_witness",
     "se_obstruction",
-    "verify_elementary_sse",
     "trace_sequence",
     "ConjugacyStatus",
     "ConjugacyResult",
@@ -40,6 +39,11 @@ __all__ = [
 # number of free entries: 7^6 lets a non-derogatory 6x6 pair run at the
 # default entry bound 6, while a scalar 3x3 matrix (7^9 there) is refused.
 MAX_SE_CANDIDATES = 7**6
+
+# Most candidates conjugacy_search tries once its meet in the middle has
+# found a conjugator, the meet's own conjugator being the last: the 6x6 pair
+# in the tests would otherwise walk for about 30 s and 775 MB.
+MAX_RESUMED_WORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -173,12 +177,6 @@ def se_obstruction(a: IntMatrix, b: IntMatrix) -> str | None:
     )
 
 
-def verify_elementary_sse(a: IntMatrix, b: IntMatrix, r: IntMatrix, s: IntMatrix) -> bool:
-    """Check one elementary strong-shift-equivalence step, a = r@s and b = s@r
-    with r, s nonnegative: the lag-1 witness (r, s, 1), as a@r = r@s@r = r@b."""
-    return verify_se_witness(a, b, SEWitness(r, s, 1))
-
-
 def trace_sequence(a: IntMatrix, m: int) -> list[int]:
     """[tr(a), tr(a^2), ..., tr(a^m)], exact."""
     _require_square(a, "trace_sequence")
@@ -301,7 +299,10 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     longer candidate is v @ w with v, w among them, and it conjugates a to b
     iff w @ a @ w^{-1} = v^{-1} @ b @ v; when no such pair meets, the result
     is UNKNOWN without generating a longer word. Otherwise the walk resumes
-    where it stopped, so the first hit is the same as an unsplit walk's.
+    where it stopped, so the first hit is the same as an unsplit walk's, for
+    at most MAX_RESUMED_WORDS candidates. When the walk would go on past
+    them, the last candidate is v @ w for the first meeting v in walk order
+    and the first w meeting it, a conjugator of length <= 2h.
     """
     if not (a.is_square and b.is_square) or a.shape != b.shape:
         raise ValueError(f"conjugacy needs equal square shapes, got {a.shape} and {b.shape}")
@@ -318,14 +319,24 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
         if _conjugates(u, u_inv, a, b):
             return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
         tried.append((u, u_inv))
-    near_a = {matmul(matmul(w, a), w_inv) for w, w_inv in tried}
-    if all(matmul(matmul(v_inv, b), v) not in near_a for v, v_inv in tried):
+    # reversed, so that each key keeps the first w in walk order
+    near_a = {matmul(matmul(w, a), w_inv): (w, w_inv) for w, w_inv in reversed(tried)}
+    for v, v_inv in tried:
+        met = near_a.get(matmul(matmul(v_inv, b), v))
+        if met is not None:
+            break
+    else:
         return ConjugacyResult(ConjugacyStatus.UNKNOWN)
     # unimodular_words(n, search_depth) starts with the len(tried) words
     # already tried, in the same order
-    for u, u_inv in islice(unimodular_words(a.rows, search_depth), len(tried), None):
+    words = islice(unimodular_words(a.rows, search_depth), len(tried), None)
+    for u, u_inv in islice(words, MAX_RESUMED_WORDS - 1):
         if _conjugates(u, u_inv, a, b):
             return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
+    w, w_inv = met
+    u, u_inv = matmul(v, w), matmul(w_inv, v_inv)
+    if next(words, None) is not None and _conjugates(u, u_inv, a, b):
+        return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
     return ConjugacyResult(ConjugacyStatus.UNKNOWN)
 
 

@@ -31,7 +31,6 @@ from ckbundle import (
     theorem1_check,
     trace_sequence,
     unimodular_inverse,
-    verify_elementary_sse,
     verify_se_witness,
 )
 from ckbundle.cli import main
@@ -153,7 +152,7 @@ def test_criterion_7_shift_equivalence_machinery():
         r = random_matrix(rng, m, n, 0, 5)
         s = random_matrix(rng, n, m, 0, 5)
         a, b = matmul(r, s), matmul(s, r)
-        assert verify_elementary_sse(a, b, r, s)
+        assert verify_se_witness(a, b, SEWitness(r, s, 1))
         assert bowen_franks(a) == bowen_franks(b)
         assert trace_sequence(a, 5) == trace_sequence(b, 5)
         pairs += 1

@@ -75,6 +75,12 @@ def test_nonnegative_representative_round_trip(conjugator):
     assert det(u) in (1, -1)
 
 
+def test_nonnegative_representative_none_for_rotation():
+    # a nonnegative conjugate of trace 0 has a zero diagonal, and then
+    # det = -bc = 1 has no solution with b, c >= 0
+    assert nonnegative_representative(bundle_of([[0, -1], [1, 0]]), search_depth=4) is None
+
+
 def test_nonnegative_representative_on_negative_matrix():
     scrambled = conjugate(A2, IntMatrix([[0, 1], [-1, 0]]))
     assert scrambled == IntMatrix([[1, -2], [-2, 5]])

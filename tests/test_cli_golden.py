@@ -296,6 +296,19 @@ def test_se_search_no_witness_within_bounds(run):
     )
 
 
+def test_se_search_rejects_rectangular_and_negative(run):
+    assert run("se-search", "a", "b", a="1 2 3\n4 5 6\n", b="1 1\n1 0\n") == (
+        3,
+        "",
+        "error: a must be square\n",
+    )
+    assert run("se-search", "a", "b", a="1 1\n1 0\n", b="1 -1\n1 0\n") == (
+        3,
+        "",
+        "error: b must be nonnegative\n",
+    )
+
+
 def test_conj_search_unknown_at_depth_zero(run):
     argv = ("conj-search", "a", "b", "--depth", "0")
     mats = {"a": A2_TEXT, "b": "11 -28\n2 -5\n"}

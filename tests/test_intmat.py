@@ -50,6 +50,13 @@ def test_value_semantics():
     assert a.transpose() == IntMatrix([[1, 3], [2, 4]])
 
 
+def test_eq_with_non_matrix_and_repr():
+    m = IntMatrix([[1, 2]])
+    assert m.__eq__(((1, 2),)) is NotImplemented
+    assert (m == ((1, 2),)) is False
+    assert repr(m) == "IntMatrix([[1, 2]])"
+
+
 def test_matmul_identity():
     assert matmul(IntMatrix.identity(2), A2) == A2
 

@@ -7,19 +7,21 @@ from ckbundle import (
     ConjugacyStatus,
     IntMatrix,
     IntPolynomial,
+    Outcome,
     SEWitness,
     bowen_franks,
     charpoly,
+    compare_bundles,
     conjugacy_search,
     conjugate,
     det,
     k0,
+    make_bundle,
     matmul,
     search_se_witness,
     se_obstruction,
     trace_sequence,
     unimodular_inverse,
-    verify_elementary_sse,
     verify_se_witness,
 )
 from ckbundle.bundle import random_unimodular
@@ -48,6 +50,12 @@ def test_verify_se_witness_failures():
     )
     with pytest.raises(ValueError):
         verify_se_witness(A2, A2, SEWitness(IntMatrix([[1, 0, 0], [0, 1, 0]]), A2, 1))
+
+
+def test_verify_se_witness_rejects_non_square_side():
+    row = IntMatrix([[1, 2]])
+    with pytest.raises(ValueError, match="shift equivalence applies to square matrices"):
+        verify_se_witness(row, A2, SEWitness(row, row, 1))
 
 
 def test_verify_se_witness_random_identity_style():
@@ -182,13 +190,13 @@ def test_verify_elementary_sse_examples():
     r = IntMatrix([[1, 1]])
     s = IntMatrix([[1], [1]])
     b = IntMatrix([[1, 1], [1, 1]])
-    assert verify_elementary_sse(a, b, r, s)
-    assert verify_elementary_sse(A2, A2, IntMatrix.identity(2), A2)
-    assert not verify_elementary_sse(
-        IntMatrix([[2]]), IntMatrix([[2]]), IntMatrix([[-2]]), IntMatrix([[-1]])
+    assert verify_se_witness(a, b, SEWitness(r, s, 1))
+    assert verify_se_witness(A2, A2, SEWitness(IntMatrix.identity(2), A2, 1))
+    assert not verify_se_witness(
+        IntMatrix([[2]]), IntMatrix([[2]]), SEWitness(IntMatrix([[-2]]), IntMatrix([[-1]]), 1)
     )
     with pytest.raises(ValueError):
-        verify_elementary_sse(a, b, s, r)
+        verify_se_witness(a, b, SEWitness(s, r, 1))
 
 
 def test_elementary_sse_pairs_share_invariants():
@@ -198,8 +206,7 @@ def test_elementary_sse_pairs_share_invariants():
         r = random_matrix(rng, m, n, 0, 4)
         s = random_matrix(rng, n, m, 0, 4)
         a, b = matmul(r, s), matmul(s, r)
-        assert verify_elementary_sse(a, b, r, s)
-        # (r, s, 1) is then a shift-equivalence witness as well
+        # an elementary SSE step (r, s) is the lag-1 shift-equivalence witness
         assert verify_se_witness(a, b, SEWitness(r, s, 1))
         assert k0(a) == k0(b)
         assert bowen_franks(a) == bowen_franks(b)
@@ -348,6 +355,47 @@ def test_conjugacy_search_unknown_work_is_bounded(monkeypatch):
     monkeypatch.setattr(sft, "matmul", counting)
     assert conjugacy_search(a, b, search_depth=4).status is ConjugacyStatus.UNKNOWN
     assert len(calls) < 2000
+
+
+def test_conjugacy_search_resumed_walk_is_capped(monkeypatch):
+    # the halves of this 6x6 pair meet at depth 4, and the uncapped walk
+    # resumed after them tried words for about 30 s before its first hit;
+    # capped, the search stops within the 2,462 words of length <= 2 plus
+    # MAX_RESUMED_WORDS candidates, the last being the meet's own conjugator
+    from ckbundle import sft
+
+    a = IntMatrix(
+        [[-1, 2, 0, 1, -1, -2], [3, 0, 0, 2, 0, 0], [-4, 1, 1, -2, 0, 0],
+         [-4, 3, 0, 0, -1, -2], [3, -1, 0, 1, 1, 2], [-4, 2, 0, -1, -1, -3]]
+    )
+    b = IntMatrix(
+        [[1, 1, 1, 3, -1, -2], [0, -1, 2, -1, 1, 2], [-1, 1, -3, -2, 0, 0],
+         [0, 4, -4, 3, -2, -4], [2, -2, 7, 3, 1, 2], [-1, 2, -5, -1, -1, -3]]
+    )
+    budget = sum(1 for _ in unimodular_words(6, 2)) + sft.MAX_RESUMED_WORDS
+    assert budget == 2462 + 65536
+    calls = []
+    conjugates = sft._conjugates
+
+    def counting(*args):
+        calls.append(None)
+        if len(calls) > budget:
+            raise AssertionError(f"more than {budget} candidates tried")
+        return conjugates(*args)
+
+    monkeypatch.setattr(sft, "_conjugates", counting)
+    result = conjugacy_search(a, b, search_depth=4)
+    u = result.conjugator
+    assert result.status is ConjugacyStatus.CONJUGATE
+    assert matmul(u, a) == matmul(b, u) and det(u) in (1, -1)
+    # the uncapped walk's first hit, too
+    assert u.to_lists() == [
+        [1, 0, -1, 0, 0, 0], [-1, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+        [1, 0, -1, 1, 0, 0], [0, 0, -1, 0, 1, 0], [0, 0, 0, 0, 0, 1],
+    ]
+    calls.clear()
+    verdict = compare_bundles(make_bundle(a), make_bundle(b))
+    assert verdict.outcome is Outcome.HOMEOMORPHIC and verdict.certificate == u
 
 
 def test_conjugacy_search_definitive_obstruction():
