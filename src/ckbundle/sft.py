@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, product
+from itertools import product
 from operator import mul
 from typing import Callable, Iterator
 
@@ -39,11 +39,6 @@ __all__ = [
 # number of free entries: 7^6 lets a non-derogatory 6x6 pair run at the
 # default entry bound 6, while a scalar 3x3 matrix (7^9 there) is refused.
 MAX_SE_CANDIDATES = 7**6
-
-# Most candidates conjugacy_search tries once its meet in the middle has
-# found a conjugator, the meet's own conjugator being the last: the 6x6 pair
-# in the tests would otherwise walk for about 30 s and 775 MB.
-MAX_RESUMED_WORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -291,18 +286,18 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     """Bounded search for unimodular u with u @ a @ u^{-1} = b.
 
     Candidates are words of length <= search_depth in the elementary
-    generators; the first hit in enumeration order is returned. Invariant
-    obstructions short-circuit with a definitive NOT_CONJUGATE, which a mere
-    search miss (UNKNOWN) never implies.
+    generators. Invariant obstructions short-circuit with a definitive
+    NOT_CONJUGATE, which a mere search miss (UNKNOWN) never implies.
 
-    The words of length <= h = ceil(search_depth / 2) are tried first. Every
-    longer candidate is v @ w with v, w among them, and it conjugates a to b
-    iff w @ a @ w^{-1} = v^{-1} @ b @ v; when no such pair meets, the result
-    is UNKNOWN without generating a longer word. Otherwise the walk resumes
-    where it stopped, so the first hit is the same as an unsplit walk's, for
-    at most MAX_RESUMED_WORDS candidates. When the walk would go on past
-    them, the last candidate is v @ w for the first meeting v in walk order
-    and the first w meeting it, a conjugator of length <= 2h.
+    The search meets in the middle. The words of length <= h =
+    ceil(search_depth / 2) are tried first, and the first hit in enumeration
+    order is returned. Every longer candidate is v @ w with w among them and v
+    a word of length <= floor(search_depth / 2), and it conjugates a to b iff
+    w @ a @ w^{-1} = v^{-1} @ b @ v. The certificate is then the first meet,
+    v @ w for the first v in enumeration order that meets and the first w
+    meeting it, verified before it is returned; it is not proved to be an
+    unsplit walk's first hit. When none meets, no word of length <=
+    search_depth conjugates and the result is UNKNOWN.
     """
     if not (a.is_square and b.is_square) or a.shape != b.shape:
         raise ValueError(f"conjugacy needs equal square shapes, got {a.shape} and {b.shape}")
@@ -321,22 +316,15 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
         tried.append((u, u_inv))
     # reversed, so that each key keeps the first w in walk order
     near_a = {matmul(matmul(w, a), w_inv): (w, w_inv) for w, w_inv in reversed(tried)}
-    for v, v_inv in tried:
+    # the words v of length <= floor(search_depth / 2): at even depth, tried
+    v_words = tried if search_depth % 2 == 0 else unimodular_words(a.rows, search_depth // 2)
+    for v, v_inv in v_words:
         met = near_a.get(matmul(matmul(v_inv, b), v))
         if met is not None:
-            break
-    else:
-        return ConjugacyResult(ConjugacyStatus.UNKNOWN)
-    # unimodular_words(n, search_depth) starts with the len(tried) words
-    # already tried, in the same order
-    words = islice(unimodular_words(a.rows, search_depth), len(tried), None)
-    for u, u_inv in islice(words, MAX_RESUMED_WORDS - 1):
-        if _conjugates(u, u_inv, a, b):
-            return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
-    w, w_inv = met
-    u, u_inv = matmul(v, w), matmul(w_inv, v_inv)
-    if next(words, None) is not None and _conjugates(u, u_inv, a, b):
-        return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
+            w, w_inv = met
+            u, u_inv = matmul(v, w), matmul(w_inv, v_inv)
+            if _conjugates(u, u_inv, a, b):
+                return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
     return ConjugacyResult(ConjugacyStatus.UNKNOWN)
 
 

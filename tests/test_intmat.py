@@ -75,6 +75,8 @@ def test_matmul_rectangular():
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
         matmul(IntMatrix([[1, 2]]), IntMatrix([[1, 2]]))
+    with pytest.raises(ValueError, match="cannot subtract"):
+        IntMatrix([[1, 2]]) - IntMatrix([[1], [2]])
 
 
 def test_matpow_base_cases():

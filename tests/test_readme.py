@@ -1,8 +1,10 @@
-"""README stays true: its Library example prints what its comments say, and
-every name its module map gives exists in that module."""
+"""README stays true: its Library example prints what its comments say,
+every name its module map gives exists in that module, and every
+module-qualified name it gives anywhere resolves."""
 
 import builtins
 import contextlib
+import functools
 import importlib
 import io
 import keyword
@@ -30,3 +32,11 @@ def test_readme_library_example_and_module_map():
             if not ident.isidentifier() or keyword.iskeyword(ident):
                 continue
             assert hasattr(module, ident) or hasattr(builtins, ident), (name, ident)
+
+
+def test_readme_qualified_names_resolve():
+    names = re.findall(r"`((ck|sft|intmat|abelian|bundle|cli)(?:\.\w+)+)", README)
+    assert len(names) >= 3
+    for name, module in names:
+        path = name.split(".")[1:]
+        functools.reduce(getattr, path, importlib.import_module(f"ckbundle.{module}"))

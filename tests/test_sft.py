@@ -257,8 +257,9 @@ def test_unimodular_words_deduplicated():
     assert len(mats) == len(set(mats))
     for w, w_inv in words:
         assert matmul(w, w_inv) == IntMatrix.identity(2)
-    # conjugacy_search resumes a deeper walk after the words of a shallower
-    # one, so each walk must begin with every shallower walk, in order
+    # each walk begins with every shallower walk, in order, so conjugacy_search
+    # meets its v words in the same order at odd depth (a walk of its own)
+    # and at even depth (the words it has already tried)
     for n in (1, 2, 3):
         for depth in range(5):
             deeper = list(unimodular_words(n, depth))
@@ -312,8 +313,9 @@ def _oracle_pair(rng, n, depth, kind):
 
 
 def test_conjugacy_search_matches_word_oracle():
-    # the split walk must return the unsplit walk's first hit, or UNKNOWN
-    # exactly when no word of length <= depth conjugates
+    # UNKNOWN exactly when no word of length <= depth conjugates; a hit of
+    # length <= ceil(depth / 2) is the unsplit walk's first hit, and a deeper
+    # one, the first meet, is not proved to be, but it is on every pair here
     rng = random.Random(47)
     statuses, deep_hits = [], 0
     for n in (1, 2, 3):
@@ -333,7 +335,7 @@ def test_conjugacy_search_matches_word_oracle():
                     deep_hits += tuple(map(tuple, expected)) not in half
     assert len(statuses) >= 500
     assert set(statuses) == set(ConjugacyStatus)
-    assert deep_hits >= 20  # hits that only the resumed walk reaches
+    assert deep_hits >= 20  # hits that only the meet reaches
 
 
 def test_conjugacy_search_unknown_work_is_bounded(monkeypatch):
@@ -357,11 +359,35 @@ def test_conjugacy_search_unknown_work_is_bounded(monkeypatch):
     assert len(calls) < 2000
 
 
-def test_conjugacy_search_resumed_walk_is_capped(monkeypatch):
-    # the halves of this 6x6 pair meet at depth 4, and the uncapped walk
-    # resumed after them tried words for about 30 s before its first hit;
-    # capped, the search stops within the 2,462 words of length <= 2 plus
-    # MAX_RESUMED_WORDS candidates, the last being the meet's own conjugator
+def test_conjugacy_search_odd_depth_work_is_bounded(monkeypatch):
+    # at D = 3 the halves are the 134 words of length <= 2 and the 14 of
+    # length <= 1; this pair's shortest conjugator has length 4, so nothing
+    # meets, where splitting 3 as 2 + 2 would meet at length 4 and then need
+    # a walk through all 1,004 words of length <= 3 to answer UNKNOWN
+    from ckbundle import sft
+
+    rng = random.Random(49)
+    a = random_unimodular(3, 6, rng)
+    b = conjugate(a, random_unimodular(3, 4, rng))
+    assert conjugator_by_words(a.to_lists(), b.to_lists(), 3) is None
+    assert conjugator_by_words(a.to_lists(), b.to_lists(), 4) is not None
+    calls = []
+    conjugates = sft._conjugates
+
+    def counting(*args):
+        calls.append(None)
+        return conjugates(*args)
+
+    monkeypatch.setattr(sft, "_conjugates", counting)
+    assert conjugacy_search(a, b, search_depth=3).status is ConjugacyStatus.UNKNOWN
+    assert len(calls) <= 134
+
+
+def test_conjugacy_search_deep_meet_is_bounded(monkeypatch):
+    # the halves of this 6x6 pair meet at depth 4: the search tries the
+    # 2,462 words of length <= 2 and verifies the first meet, where a walk
+    # over the words of length <= 4 tried words for about 30 s before its
+    # first hit
     from ckbundle import sft
 
     a = IntMatrix(
@@ -372,8 +398,8 @@ def test_conjugacy_search_resumed_walk_is_capped(monkeypatch):
         [[1, 1, 1, 3, -1, -2], [0, -1, 2, -1, 1, 2], [-1, 1, -3, -2, 0, 0],
          [0, 4, -4, 3, -2, -4], [2, -2, 7, 3, 1, 2], [-1, 2, -5, -1, -1, -3]]
     )
-    budget = sum(1 for _ in unimodular_words(6, 2)) + sft.MAX_RESUMED_WORDS
-    assert budget == 2462 + 65536
+    budget = sum(1 for _ in unimodular_words(6, 2)) + 1
+    assert budget == 2462 + 1
     calls = []
     conjugates = sft._conjugates
 
@@ -388,7 +414,7 @@ def test_conjugacy_search_resumed_walk_is_capped(monkeypatch):
     u = result.conjugator
     assert result.status is ConjugacyStatus.CONJUGATE
     assert matmul(u, a) == matmul(b, u) and det(u) in (1, -1)
-    # the uncapped walk's first hit, too
+    # also the first hit of a walk over the words of length <= 4
     assert u.to_lists() == [
         [1, 0, -1, 0, 0, 0], [-1, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0],
         [1, 0, -1, 1, 0, 0], [0, 0, -1, 0, 1, 0], [0, 0, 0, 0, 0, 1],
