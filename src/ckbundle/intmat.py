@@ -7,6 +7,7 @@ nothing here touches floating point or rationals.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -317,6 +318,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+# smith_diagonal's certificate: how many unit vectors e_(n-1), e_(n-2), ... it
+# solves a y = det(a) e for, and the largest trial divisor it factors the gcd
+# of those adjugate columns with
+_CYCLIC_PROBES = 4
+_TRIAL_DIVISION_BOUND = 1024
+
+
 def _smith(m: list[list[int]], nrows: int, ncols: int) -> None:
     """Eliminate the leading nrows x ncols block of m (a list of row lists)
     in place to Smith normal form.
@@ -328,8 +336,9 @@ def _smith(m: list[list[int]], nrows: int, ncols: int) -> None:
 
     Pivots are chosen as the first (row-major) entry of minimal absolute
     value in the working submatrix, which keeps coefficient growth tame and
-    makes the output deterministic. Diagonal signs are normalized to be
-    nonnegative by row negations.
+    makes the output deterministic; the scan stops at the first entry of
+    absolute value 1, which is that entry. Diagonal signs are normalized to
+    be nonnegative by row negations.
     """
 
     t = 0
@@ -342,6 +351,10 @@ def _smith(m: list[list[int]], nrows: int, ncols: int) -> None:
                 x = abs(row[j])
                 if x and (not best or x < best):
                     best, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
+                break
         if not best:
             break
         m[t], m[pi] = m[pi], m[t]
@@ -350,10 +363,13 @@ def _smith(m: list[list[int]], nrows: int, ncols: int) -> None:
                 row[t], row[pj] = row[pj], row[t]
         top = m[t]
         pivot = top[t]
+        # block rows >= t are zero left of column t, so only row[t:] moves
+        tail = top[t:]
         for i in range(t + 1, nrows):
-            q = m[i][t] // pivot
+            row = m[i]
+            q = row[t] // pivot
             if q:
-                m[i] = [x - q * y for x, y in zip(m[i], top)]
+                row[t:] = [x - q * y for x, y in zip(row[t:], tail)]
         quotients = [(j, q) for j in range(t + 1, ncols) if (q := top[j] // pivot)]
         for row in m:
             c = row[t]
@@ -404,9 +420,110 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _prime_powers(g: int) -> list[tuple[int, int]] | None:
+    """[(p, e), ...] with g = prod p^e over primes p, by trial division; None
+    when g keeps a cofactor that trial division up to the bound cannot split."""
+    factors, p = [], 2
+    while p * p <= g:
+        if p > _TRIAL_DIVISION_BOUND:
+            return None
+        e = 0
+        while g % p == 0:
+            g //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    return factors + [(g, 1)] if g > 1 else factors
+
+
+def _local_valuations(rows: tuple[tuple[int, ...], ...], p: int, s: int) -> list[int]:
+    """The p-adic valuations of the Smith diagonal of a square matrix, in
+    ascending order, each capped at s: elimination over Z/p^s, level v by
+    level, always pivoting on an entry of valuation exactly v. Every other
+    entry is divisible by p^v, so the pivot clears its column by row
+    operations alone, and its row and column leave the working matrix."""
+    q = p**s
+    m = [[x % q for x in row] for row in rows]
+    vals = []
+    for v in range(s):
+        pv, r = p**v, p ** (s - v)
+        while hit := next(
+            ((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x // pv % p), None
+        ):
+            i, c = hit
+            top = m.pop(i)
+            inv = pow(top.pop(c) // pv, -1, r)
+            for k, row in enumerate(m):
+                if f := row.pop(c) // pv * inv % r:
+                    m[k] = [(x - f * y) % q for x, y in zip(row, top)]
+            vals.append(v)
+    return vals + [s] * len(m)
+
+
+def _certified_diagonal(a: IntMatrix) -> tuple[int, ...] | None:
+    """The Smith diagonal of a square nonsingular a from its determinant, a
+    few adjugate columns and local eliminations (see smith_diagonal); None
+    when a is singular or the certificate does not go through."""
+    n = a.rows
+    k = min(n, _CYCLIC_PROBES)
+    m = [[*row, *[0] * k] for row in a.entries]
+    for j in range(k):
+        m[n - 1 - j][n + j] = 1
+    _echelon(m)
+    g = d = m[-1][n - 1]
+    if not d:
+        return None
+    for j in range(k):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            u = m[i]
+            y[i] = (d * u[n + j] - sum(map(operator.mul, u[i + 1 : n], y[i + 1 :]))) // u[i]
+        target = [0] * n
+        target[n - 1 - j] = d
+        if [sum(map(operator.mul, row, y)) for row in a.entries] != target:
+            return None
+        g = math.gcd(g, *y)
+        if g == 1:
+            break
+    factors = _prime_powers(g)
+    if factors is None:
+        return None
+    diag = [1] * (n - 1)
+    for p, e in factors:
+        for i, v in enumerate(_local_valuations(a.entries, p, e)[: n - 1]):
+            diag[i] *= p**v
+    return (*diag, abs(d) // math.prod(diag))
+
+
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal of a, equal to smith_normal_form(a).diagonal(),
-    computed without building the transforms u and v."""
+    computed without building the transforms u and v.
+
+    A square a is first tried by a certificate. One Bareiss echelon of
+    [a | e_(n-1) ... e_(n-k)], k = min(n, _CYCLIC_PROBES), leaves an upper
+    triangle U, transformed probe columns c and D = U[n-1][n-1] = +-det a.
+    If D != 0, U x = c holds over Q for x = a^-1 e, so y = D x is an integer
+    vector and the fraction-free back-substitution
+    y_i = (D c_i - sum over j > i of U_ij y_j) // U_ii divides exactly; the
+    check a @ y == D e is made before y is used. Then y is a column of adj a
+    up to sign, each entry of y is an (n-1)-minor of a, and so
+    d_1 ... d_(n-1), the gcd of all (n-1)-minors, divides every entry of y
+    and divides D = +-d_1 ... d_n. The probes stop once g = gcd(D, entries
+    of the probes so far) is 1: then d_1 = ... = d_(n-1) = 1 and the
+    diagonal is (1, ..., 1, |det a|), a cyclic cokernel.
+
+    Otherwise only the primes p of g divide d_1 ... d_(n-1), each to at most
+    e = v_p(g). An elimination over Z/p^e gives the valuations of the
+    diagonal capped at e, so v_p(d_1) <= ... <= v_p(d_(n-1)), which are at
+    most e, exactly; these fix d_1, ..., d_(n-1), and
+    d_n = |det a| / (d_1 ... d_(n-1)). Singular and
+    non-square inputs, and those whose g has a prime factor that trial
+    division up to _TRIAL_DIVISION_BOUND cannot reach, run the Smith
+    elimination `_smith`.
+    """
+    if a.is_square and (diag := _certified_diagonal(a)):
+        return diag
     d = a.to_lists()
     _smith(d, *a.shape)
     return tuple(d[i][i] for i in range(min(a.shape)))

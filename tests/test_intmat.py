@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -17,7 +18,9 @@ from ckbundle import (
     trace,
     unimodular_inverse,
 )
+from ckbundle import intmat
 from ckbundle.bundle import random_unimodular
+from ckbundle.sft import elementary_generators
 
 from conftest import A2, A3, FIB, random_matrix
 from oracles import (
@@ -308,9 +311,24 @@ def test_snf_2x2_gcd_oracle():
 
 
 
+def _mixed_diagonal(rng, d, length=12):
+    """W @ diag(d) @ V for W and V random words of the given length in the
+    elementary generators: a square matrix whose Smith diagonal is the
+    divisor-chain form of d."""
+    gens = [g for g, _ in elementary_generators(len(d))]
+    w, v = (
+        functools.reduce(matmul, rng.choices(gens, k=length), IntMatrix.identity(len(d)))
+        for _ in range(2)
+    )
+    return w @ IntMatrix.diagonal(d) @ v
+
+
 def _smith_cases(seed):
     """Seeded rectangular matrices 1..8 x 1..8, some with a zeroed row and a
-    zeroed column, plus zero matrices."""
+    zeroed column, plus zero matrices; then square matrices of known Smith
+    diagonal: non-cyclic (also with prime powers, and with a prime too large
+    for smith_diagonal's trial division), cyclic with every adjugate probe
+    of smith_diagonal's certificate even, det +-1, 1x1 and singular."""
     rng = random.Random(seed)
     for rows in range(1, 9):
         for cols in range(1, 9):
@@ -322,6 +340,12 @@ def _smith_cases(seed):
                 row[j] = 0
             yield IntMatrix(a)
             yield IntMatrix.zero(rows, cols)
+    yield IntMatrix.diagonal((2, 1, 1, 1, 1))
+    for d in ((2, 2, 6), (2, 4, 72, 1080), (2**31 - 1, 2**31 - 1), (1, 2, 1, 1, 1),
+              (1, 1, 1, 1), (-1, 1, 1), (1, 3, 0), (0, 0, 5)):
+        yield _mixed_diagonal(rng, d)
+    yield IntMatrix([[-7]])
+    yield IntMatrix([[0]])
 
 
 def test_smith_diagonal_matches_full_decomposition():
@@ -409,6 +433,50 @@ def test_smith_diagonal_at_report_scale():
     for x in diag:
         prod *= x
     assert prod == abs(det(a)) != 0
+
+
+def test_smith_diagonal_certifies_nonsingular_squares_without_elimination(monkeypatch):
+    calls = []
+    smith = intmat._smith
+    monkeypatch.setattr(intmat, "_smith", lambda *args: calls.append(1) or smith(*args))
+
+    def eliminations(a):
+        calls.clear()
+        diag = smith_diagonal(a)
+        assert diag == smith_normal_form(a).diagonal()
+        return len(calls) - 1  # less the reference call from smith_normal_form
+
+    # I - A^t for A = [[3, 1], [1, 0]] has diagonal (1, 3): no elimination
+    assert smith_diagonal(IntMatrix([[-2, -1], [-1, 1]])) == (1, 3)
+    assert eliminations(IntMatrix([[-2, -1], [-1, 1]])) == 0
+    assert eliminations(_dense(48, 48)) == 0
+    # every adjugate probe of diag(2, 1, 1, 1, 1) is even; one elimination
+    # mod 2 shows that 2 divides only the last diagonal entry
+    assert eliminations(IntMatrix.diagonal((2, 1, 1, 1, 1))) == 0
+    rng = random.Random(50)
+    assert eliminations(_mixed_diagonal(rng, (2, 2, 6))) == 0
+    assert eliminations(_mixed_diagonal(rng, (2, 4, 72, 1080))) == 0
+    # the probes leave g = 2^31 - 1, a prime beyond the trial division
+    assert eliminations(IntMatrix.diagonal((2**31 - 1, 2**31 - 1))) == 1
+    assert eliminations(IntMatrix([[1, 2], [2, 4]])) == 1
+    assert eliminations(IntMatrix([[1, 2, 3], [4, 5, 6]])) == 1
+
+
+def test_smith_diagonal_rejects_a_wrong_certificate(monkeypatch):
+    # with the last transformed probe entry set to 1, back-substitution gives
+    # y_(n-1) = 1, whose gcd with det(a) is 1 whatever a is; the check
+    # a @ y == det(a) e must reject it, or diag(2, 2) would read (1, 4)
+    echelon = intmat._echelon
+
+    def corrupted(m):
+        result = echelon(m)
+        m[-1][len(m)] = 1
+        return result
+
+    monkeypatch.setattr(intmat, "_echelon", corrupted)
+    assert smith_diagonal(IntMatrix.diagonal((2, 2))) == (2, 2)
+    a = _mixed_diagonal(random.Random(49), (2, 2, 6))
+    assert smith_diagonal(a) == (2, 2, 6)
 
 
 def test_smith_transforms_at_report_scale():
