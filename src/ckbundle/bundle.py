@@ -1,8 +1,8 @@
 """Torus bundles over the circle, modeled by their monodromy matrices.
 
-A bundle is determined by a matrix in GL_n(Z); conjugate monodromies give
-homeomorphic bundles, so everything computed here is a class function of the
-monodromy up to conjugation.
+A bundle is its monodromy in GL_n(Z), as make_bundle validates it; conjugate
+monodromies give homeomorphic bundles, so everything computed here is a class
+function of the monodromy up to conjugation.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .intmat import (
     IntMatrix,
     IntPolynomial,
     NotUnimodular,
+    _require_square,
     charpoly,
     det,
     matmul,
@@ -25,7 +26,6 @@ from .intmat import (
 
 __all__ = [
     "NotUnimodular",
-    "TorusBundle",
     "NormalizedMonodromy",
     "Outcome",
     "ComparisonVerdict",
@@ -43,15 +43,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TorusBundle:
-    """Fiber torus dimension n plus the monodromy matrix in GL_n(Z); the
-    total space has dimension n + 1."""
-
-    monodromy: IntMatrix
-    dimension: int
-
-
-@dataclass(frozen=True)
 class NormalizedMonodromy:
     """Monodromy with trace made nonnegative; flipped records whether a
     global sign change was applied."""
@@ -60,26 +51,26 @@ class NormalizedMonodromy:
     flipped: bool
 
 
-def make_bundle(a: IntMatrix) -> TorusBundle:
-    """Validate a as a monodromy matrix (square, determinant +/-1)."""
+def make_bundle(a: IntMatrix) -> IntMatrix:
+    """Validate a as a monodromy matrix (square, determinant +/-1); return it."""
     if not a.is_square:
         raise ValueError(f"monodromy must be square, got {a.shape}")
     d = det(a)
     if d not in (1, -1):
         raise NotUnimodular(f"monodromy has determinant {d}, expected +/-1")
-    return TorusBundle(monodromy=a, dimension=a.rows)
+    return a
 
 
-def normalize_monodromy(b: TorusBundle) -> NormalizedMonodromy:
+def normalize_monodromy(a: IntMatrix) -> NormalizedMonodromy:
     """Flip the global sign exactly when the trace is negative; trace zero
     keeps the given sign."""
-    if trace(b.monodromy) < 0:
-        return NormalizedMonodromy(-b.monodromy, flipped=True)
-    return NormalizedMonodromy(b.monodromy, flipped=False)
+    if trace(a) < 0:
+        return NormalizedMonodromy(-a, flipped=True)
+    return NormalizedMonodromy(a, flipped=False)
 
 
 def nonnegative_representative(
-    b: TorusBundle, search_depth: int = 4
+    a: IntMatrix, search_depth: int = 4
 ) -> tuple[IntMatrix, IntMatrix] | None:
     """Bounded search for (u, a') with a' = u @ A @ u^{-1} entrywise
     nonnegative, where A is the normalized monodromy.
@@ -87,9 +78,9 @@ def nonnegative_representative(
     Returns the first hit in word-enumeration order, or None; a None is not
     a proof that no nonnegative conjugate exists.
     """
-    a = normalize_monodromy(b).matrix
-    for u, u_inv in sft.unimodular_words(b.dimension, search_depth):
-        candidate = matmul(matmul(u, a), u_inv)
+    normalized = normalize_monodromy(a).matrix
+    for u, u_inv in sft.unimodular_words(a.rows, search_depth):
+        candidate = matmul(matmul(u, normalized), u_inv)
         if candidate.is_nonnegative:
             return u, candidate
     return None
@@ -100,14 +91,15 @@ def _z_plus(g: FgAbelianGroup) -> FgAbelianGroup:
     return FgAbelianGroup(g.free_rank + 1, g.invariant_factors)
 
 
-def h1(b: TorusBundle) -> FgAbelianGroup:
-    """First homology of the bundle: Z + coker(A - I) in canonical form."""
-    return _z_plus(cokernel(b.monodromy - IntMatrix.identity(b.dimension)))
+def h1(a: IntMatrix) -> FgAbelianGroup:
+    """First homology of the bundle: Z + coker(A - I) = Z + coker(I - A)."""
+    _require_square(a, "h1")
+    return _z_plus(cokernel(ck._identity_minus(a.entries)))
 
 
-def alexander_polynomial(b: TorusBundle) -> IntPolynomial:
+def alexander_polynomial(a: IntMatrix) -> IntPolynomial:
     """det(tI - A): the characteristic polynomial of the monodromy."""
-    return charpoly(b.monodromy)
+    return charpoly(a)
 
 
 @dataclass(frozen=True)
@@ -120,26 +112,26 @@ class CKFunctorImage:
     k1: FgAbelianGroup
 
 
-def ck_functor(b: TorusBundle) -> CKFunctorImage:
+def ck_functor(a: IntMatrix) -> CKFunctorImage:
     """Object map of the bundle-to-algebra functor: normalize the monodromy,
     then read off K0 and K1."""
-    normalized = normalize_monodromy(b)
+    normalized = normalize_monodromy(a)
     k0 = ck.k0(normalized.matrix)
     return CKFunctorImage(
         normalized=normalized, k0=k0, k1=FgAbelianGroup.free(k0.free_rank)
     )
 
 
-def theorem1_check(b: TorusBundle) -> bool:
+def theorem1_check(a: IntMatrix) -> bool:
     """Verify that H1 of the bundle is isomorphic to Z + K0, with K0 taken on
     the bundle's own monodromy.
 
     Evaluating K0 on the raw matrix keeps this an identity for every sign of
     the trace (a flipped matrix can change K0, e.g. at -I). A false return
     therefore indicates a genuine bug and is surfaced, never swallowed. H1
-    (from A - I) and K0 (from I - A^t) come from two independent Smith forms.
+    (from I - A) and K0 (from I - A^t) come from two independent Smith forms.
     """
-    return h1(b) == _z_plus(ck.k0(b.monodromy))
+    return h1(a) == _z_plus(ck.k0(a))
 
 
 class Outcome(Enum):
@@ -158,10 +150,9 @@ class ComparisonVerdict:
     certificate: IntMatrix | None = None
 
 
-def compare_bundles(
-    b1: TorusBundle, b2: TorusBundle, search_depth: int = 4
-) -> ComparisonVerdict:
-    """Distinguish or identify two bundles of the same fiber dimension.
+def compare_bundles(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> ComparisonVerdict:
+    """Distinguish or identify two bundles of the same fiber dimension; both
+    monodromies pass make_bundle first.
 
     Distinct requires an invariant mismatch (K0 of the functor images, or
     H1); Homeomorphic requires an explicit unimodular conjugator between the
@@ -171,21 +162,20 @@ def compare_bundles(
     one side sign-flipped the two images are the K-theory of +A and -B, which
     need not agree even for homeomorphic bundles (M against M^-1).
     """
-    if b1.dimension != b2.dimension:
-        raise ValueError(
-            f"cannot compare bundles of fiber dimension {b1.dimension} and {b2.dimension}"
-        )
+    make_bundle(a), make_bundle(b)
+    if a.rows != b.rows:
+        raise ValueError(f"cannot compare bundles of fiber dimension {a.rows} and {b.rows}")
     if search_depth < 0:
         raise ValueError(f"search depth must be >= 0, got {search_depth}")
-    f1, f2 = normalize_monodromy(b1).flipped, normalize_monodromy(b2).flipped
-    rungs = [("K0", lambda b: ck_functor(b).k0)] if f1 == f2 else []
+    f1, f2 = normalize_monodromy(a).flipped, normalize_monodromy(b).flipped
+    rungs = [("K0", lambda m: ck_functor(m).k0)] if f1 == f2 else []
     # unflipped, K0 and H1 share one Smith diagonal: H1 cannot differ once K0 agrees
     if f1 or f2:
         rungs.append(("H1", h1))
-    difference = sft._first_difference(b1, b2, rungs)
+    difference = sft._first_difference(a, b, rungs)
     if difference is not None:
         return ComparisonVerdict(Outcome.DISTINCT, witness=difference)
-    result = sft.conjugacy_search(b1.monodromy, b2.monodromy, search_depth)
+    result = sft.conjugacy_search(a, b, search_depth)
     if result.status is sft.ConjugacyStatus.CONJUGATE:
         return ComparisonVerdict(
             Outcome.HOMEOMORPHIC,

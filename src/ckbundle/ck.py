@@ -7,6 +7,7 @@ therefore defined for any square matrix, admissible or not.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import gcd
 
 from .abelian import FgAbelianGroup, cokernel
@@ -62,10 +63,17 @@ def make_descriptor(a: IntMatrix) -> IntMatrix:
     return a
 
 
+def _identity_minus(rows: Iterable[tuple[int, ...]]) -> IntMatrix:
+    """I - m, built in one step from the rows of the square matrix m."""
+    return IntMatrix._wrap(
+        tuple([tuple([(i == j) - x for j, x in enumerate(row)]) for i, row in enumerate(rows)])
+    )
+
+
 def k0(a: IntMatrix) -> FgAbelianGroup:
     """K0 invariant: the cokernel of (I - a^t) in canonical form."""
     _require_square(a, "k0")
-    return cokernel(IntMatrix.identity(a.rows) - a.transpose())
+    return cokernel(_identity_minus(zip(*a.entries)))
 
 
 def k1(a: IntMatrix) -> FgAbelianGroup:
@@ -78,7 +86,7 @@ def k1(a: IntMatrix) -> FgAbelianGroup:
 def bowen_franks(a: IntMatrix) -> FgAbelianGroup:
     """Bowen-Franks group: the cokernel of (I - a); isomorphic to k0(a)."""
     _require_square(a, "bowen_franks")
-    return cokernel(IntMatrix.identity(a.rows) - a)
+    return cokernel(_identity_minus(a.entries))
 
 
 def _adjacency(a: IntMatrix) -> list[list[int]]:
@@ -90,7 +98,7 @@ def is_irreducible(a: IntMatrix) -> bool:
     strongly connected."""
     _require_square(a, "is_irreducible")
     _require_nonnegative(a, "is_irreducible")
-    return _strongly_connected(_adjacency(a))
+    return _period(_adjacency(a)) is not None
 
 
 def _levels(adj: list[list[int]]) -> dict[int, int]:
@@ -106,15 +114,14 @@ def _levels(adj: list[list[int]]) -> dict[int, int]:
     return level
 
 
-def _strongly_connected(adj: list[list[int]]) -> bool:
-    return len(_levels(adj)) == len(adj) == len(_levels(list(zip(*adj))))
-
-
-def _period(adj: list[list[int]]) -> int:
-    """Period of a strongly connected digraph (0 if it has no arcs): the gcd
-    over arcs u -> v of level[u] + 1 - level[v], levels from one BFS from 0
-    (Lind-Marcus, Symbolic Dynamics and Coding, 4.5)."""
+def _period(adj: list[list[int]]) -> int | None:
+    """Period of the digraph (0 if it has no arcs), or None unless BFS from 0
+    reaches every vertex forwards and backwards: the gcd over arcs u -> v of
+    level[u] + 1 - level[v], levels from the forward BFS (Lind-Marcus,
+    Symbolic Dynamics and Coding, 4.5)."""
     level = _levels(adj)
+    if len(level) < len(adj) or len(_levels(list(zip(*adj)))) < len(adj):
+        return None
     return gcd(*(level[u] + 1 - level[v] for u in level for v, x in enumerate(adj[u]) if x))
 
 
@@ -126,8 +133,7 @@ def is_primitive(a: IntMatrix) -> bool:
     """
     _require_square(a, "is_primitive")
     _require_nonnegative(a, "is_primitive")
-    adj = _adjacency(a)
-    return _strongly_connected(adj) and _period(adj) == 1
+    return _period(_adjacency(a)) == 1
 
 
 def edge_dilation(a: IntMatrix) -> IntMatrix:

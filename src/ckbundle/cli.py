@@ -167,12 +167,11 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
     k0 = ck.k0(m)
     normalized = h_1 = alexander = thm1 = None
     if d in (1, -1):
-        b = bundle.TorusBundle(monodromy=m, dimension=m.rows)
-        normalized = bundle.normalize_monodromy(b).flipped
+        normalized = bundle.normalize_monodromy(m).flipped
         # H1 = Z + coker(A - I), and A - I has K0's Smith diagonal (that of
         # I - A^t, up to transpose and sign), so Theorem 1 holds by construction
         h_1, thm1 = bundle._z_plus(k0), True
-        alexander = bundle.alexander_polynomial(b)
+        alexander = bundle.alexander_polynomial(m)
     else:
         warnings.append(
             f"determinant {d} is not +/-1: bundle fields (h1, alexander, "
@@ -239,10 +238,8 @@ def _cmd_invariants(args) -> tuple[dict, str, int]:
 
 
 def _cmd_compare(args) -> tuple[dict, str, int]:
-    a = _read_matrix(args.matrix_a)
-    b = _read_matrix(args.matrix_b)
     verdict = bundle.compare_bundles(
-        bundle.make_bundle(a), bundle.make_bundle(b), search_depth=args.depth
+        _read_matrix(args.matrix_a), _read_matrix(args.matrix_b), search_depth=args.depth
     )
     obj = {
         "verdict": verdict.outcome.value,

@@ -115,7 +115,7 @@ def test_criterion_5_theorem_1_property_suite():
         assert alexander_polynomial(b) == alexander_polynomial(b_conj)
         fa, fc = ck_functor(b), ck_functor(b_conj)
         assert fa.k0 == fc.k0 and fa.k1 == fc.k1
-        assert k0(a) == k0(b_conj.monodromy) and k1(a) == k1(b_conj.monodromy)
+        assert k0(a) == k0(b_conj) and k1(a) == k1(b_conj)
     _report(5, f"theorem1_check and conjugation invariance on {trials} random GL_n(Z) matrices")
 
 

@@ -34,9 +34,10 @@ def bundle_of(rows):
 
 
 def test_make_bundle():
-    b = make_bundle(A2)
-    assert b.monodromy == A2 and b.dimension == 2
-    assert make_bundle(IntMatrix([[0, 1], [-1, 0]])).dimension == 2
+    # a bundle is its validated monodromy
+    assert make_bundle(A2) is A2
+    rotation = IntMatrix([[0, 1], [-1, 0]])
+    assert make_bundle(rotation) is rotation
     with pytest.raises(NotUnimodular):
         make_bundle(IntMatrix([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
@@ -229,6 +230,16 @@ def test_compare_dimension_mismatch():
         compare_bundles(make_bundle(A2), bundle_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
+def test_compare_bundles_validates_plain_matrices():
+    with pytest.raises(NotUnimodular, match=r"^monodromy has determinant 2, expected \+/-1$"):
+        compare_bundles(A2, IntMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="^cannot compare bundles of fiber dimension 2 and 3$"):
+        compare_bundles(A2, IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    b = conjugate(A2, IntMatrix([[1, 1], [0, 1]]))
+    direct, validated = compare_bundles(A2, b), compare_bundles(make_bundle(A2), make_bundle(b))
+    assert direct == validated and direct.outcome is Outcome.HOMEOMORPHIC
+
+
 def test_compare_inconclusive_without_certificate():
     a = IntMatrix([[11, 2], [5, 1]])
     b = conjugate(a, IntMatrix([[1, 3], [0, 1]]))
@@ -246,7 +257,7 @@ def _reference_verdict(b1, b2, search_depth):
         x, y = invariant(b1), invariant(b2)
         if x != y:
             return Outcome.DISTINCT, f"{name}: {x} vs {y}"
-    result = conjugacy_search(b1.monodromy, b2.monodromy, search_depth)
+    result = conjugacy_search(b1, b2, search_depth)
     if result.status is ConjugacyStatus.CONJUGATE:
         return Outcome.HOMEOMORPHIC, f"monodromies conjugate via {result.conjugator.to_lists()}"
     if result.status is ConjugacyStatus.NOT_CONJUGATE:

@@ -1,6 +1,7 @@
 """README stays true: its Library example prints what its comments say,
-every name its module map gives exists in that module, and every
-module-qualified name it gives anywhere resolves."""
+every name its module map gives exists in that module, every name in a
+module's __all__ appears in its bullet, and every module-qualified name it
+gives anywhere resolves."""
 
 import builtins
 import contextlib
@@ -28,7 +29,9 @@ def test_readme_library_example_and_module_map():
     assert len(bullets) == 6
     for name, text in bullets:
         module = importlib.import_module(name)
-        for ident in re.findall(r"`([^`]+)`", text):
+        idents = re.findall(r"`([^`]+)`", text)
+        assert not set(module.__all__) - set(idents), (name, set(module.__all__) - set(idents))
+        for ident in idents:
             if not ident.isidentifier() or keyword.iskeyword(ident):
                 continue
             assert hasattr(module, ident) or hasattr(builtins, ident), (name, ident)
