@@ -63,10 +63,6 @@ class FgAbelianGroup:
         return cls(0, (n,))
 
     @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
-    @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
 

@@ -7,7 +7,6 @@ function of the monodromy up to conjugation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,7 +37,6 @@ __all__ = [
     "ck_functor",
     "theorem1_check",
     "compare_bundles",
-    "random_unimodular",
 ]
 
 
@@ -192,13 +190,3 @@ def compare_bundles(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Compar
         Outcome.INCONCLUSIVE,
         witness=f"no invariant differs; no conjugator found at depth {search_depth}",
     )
-
-
-def random_unimodular(n: int, word_length: int, rng: random.Random) -> IntMatrix:
-    """Random element of GL_n(Z) as a product of word_length elementary
-    generators; determinant is exactly +/-1 by construction."""
-    gens = sft.elementary_generators(n)
-    m = IntMatrix.identity(n)
-    for _ in range(word_length):
-        m = matmul(m, rng.choice(gens)[0])
-    return m

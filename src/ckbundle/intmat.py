@@ -131,16 +131,6 @@ class IntMatrix:
     def is_zero_one(self) -> bool:
         return all(x in (0, 1) for row in self._data for x in row)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self._data))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"cannot subtract {other.shape} from {self.shape}")
-        return IntMatrix(
-            [x - y for x, y in zip(r, s)] for r, s in zip(self._data, other._data)
-        )
-
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([-x for x in row] for row in self._data)
 

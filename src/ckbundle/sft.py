@@ -17,7 +17,6 @@ from typing import Callable, Iterator
 
 from . import ck
 from .intmat import IntMatrix, _echelon, _require_square, det, matmul, matpow, trace
-from .intmat import unimodular_inverse
 
 __all__ = [
     "SEWitness",
@@ -29,9 +28,7 @@ __all__ = [
     "ConjugacyResult",
     "conjugacy_search",
     "conjugacy_obstruction",
-    "elementary_generators",
     "unimodular_words",
-    "conjugate",
 ]
 
 
@@ -185,9 +182,10 @@ def trace_sequence(a: IntMatrix, m: int) -> list[int]:
 
 
 def _elementary_moves(n: int) -> list[tuple[int, int, int, int]]:
-    """(i, j, s, s_inv) per generator of elementary_generators, in its order:
-    the generator is I + s·e_ij and its inverse I + s_inv·e_ij. The sign
-    flip diag(-1, 1, ..., 1) is I - 2·e_00, its own inverse."""
+    """(i, j, s, s_inv) per elementary generator of GL_n(Z), in a fixed
+    order: transvections E_ij(+1), E_ij(-1) by row-major (i, j), then the
+    sign flip diag(-1, 1, ..., 1). The generator is I + s·e_ij and its
+    inverse I + s_inv·e_ij; the sign flip is I - 2·e_00, its own inverse."""
     moves = [(i, j, s, -s) for i in range(n) for j in range(n) if i != j for s in (1, -1)]
     moves.append((0, 0, -2, -2))
     return moves
@@ -203,17 +201,6 @@ def _add_row(m: IntMatrix, i: int, j: int, s: int) -> IntMatrix:
     rows = m.entries
     new_row = tuple([x + s * y for x, y in zip(rows[i], rows[j])])
     return IntMatrix._wrap(rows[:i] + (new_row,) + rows[i + 1 :])
-
-
-def elementary_generators(n: int) -> list[tuple[IntMatrix, IntMatrix]]:
-    """Generators of GL_n(Z) as (matrix, inverse) pairs, in a fixed order:
-    transvections E_ij(+1), E_ij(-1) by row-major (i, j), then the sign flip
-    diag(-1, 1, ..., 1)."""
-    ident = IntMatrix.identity(n)
-    return [
-        (_add_row(ident, i, j, s), _add_row(ident, i, j, s_inv))
-        for i, j, s, s_inv in _elementary_moves(n)
-    ]
 
 
 def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
@@ -242,11 +229,6 @@ def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMa
         if not nxt:
             return
         frontier = nxt
-
-
-def conjugate(a: IntMatrix, u: IntMatrix) -> IntMatrix:
-    """u @ a @ u^{-1} for unimodular u."""
-    return matmul(matmul(u, a), unimodular_inverse(u))
 
 
 class ConjugacyStatus(Enum):

@@ -159,14 +159,9 @@ def se_witness_by_enumeration(a, b, max_lag, bound):
     return None
 
 
-@lru_cache(maxsize=None)
-def words_by_bfs(n, depth):
-    """Every product of at most depth elementary generators of GL_n(Z), as
-    tuples of rows, breadth-first from the identity: each word of the last
-    level times each generator on the right, a product kept only where it
-    first appears. The generators are E_ij(+1), E_ij(-1) by row-major
-    (i, j), then diag(-1, 1, ..., 1)."""
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def elementary_generators(n):
+    """The elementary generators of GL_n(Z) as tuples of rows, in a fixed
+    order: E_ij(+1), E_ij(-1) by row-major (i, j), then diag(-1, 1, ..., 1)."""
     gens = [
         tuple(tuple(sign if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n))
         for i in range(n)
@@ -175,6 +170,17 @@ def words_by_bfs(n, depth):
         for sign in (1, -1)
     ]
     gens.append(tuple(tuple(-1 if r == c == 0 else int(r == c) for c in range(n)) for r in range(n)))
+    return gens
+
+
+@lru_cache(maxsize=None)
+def words_by_bfs(n, depth):
+    """Every product of at most depth elementary generators of GL_n(Z), as
+    tuples of rows, breadth-first from the identity: each word of the last
+    level times each generator of elementary_generators(n) on the right, a
+    product kept only where it first appears."""
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = elementary_generators(n)
     words, seen, level = [ident], {ident}, [ident]
     for _ in range(depth):
         next_level = []

@@ -16,7 +16,6 @@ from ckbundle import (
     alexander_polynomial,
     bowen_franks,
     ck_functor,
-    conjugate,
     det,
     edge_dilation,
     h1,
@@ -24,7 +23,6 @@ from ckbundle import (
     k1,
     make_bundle,
     matmul,
-    random_unimodular,
     search_se_witness,
     se_obstruction,
     smith_normal_form,
@@ -34,10 +32,18 @@ from ckbundle import (
     verify_se_witness,
 )
 from ckbundle.cli import main
-from ckbundle.sft import elementary_generators
 
-from conftest import A2, A3, a1, random_matrix, random_nonnegative
-from oracles import snf_2x2_oracle
+from conftest import (
+    A2,
+    A3,
+    a1,
+    conjugate,
+    identity_minus_transpose,
+    random_matrix,
+    random_nonnegative,
+    random_unimodular,
+)
+from oracles import elementary_generators, snf_2x2_oracle
 
 
 def _report(criterion, text):
@@ -58,7 +64,7 @@ def test_criterion_2_k_theory_of_the_two_solvable_examples():
     assert k0(A2) == FgAbelianGroup(0, (2, 2))
     assert k0(A3) == FgAbelianGroup(0, (4,))
     for a in (A2, A3):
-        assert det(IntMatrix.identity(2) - a.transpose()) == -4
+        assert det(identity_minus_transpose(a)) == -4
         assert k1(a) == FgAbelianGroup.trivial()
     _report(2, "k0(A2) = Z_2 + Z_2, k0(A3) = Z_4, both k1 trivial")
 
@@ -85,8 +91,8 @@ def test_criterion_4_compare_verdicts_through_the_cli(tmp_path, capsys):
     assert payload["witness"] == "K0: Z_2 + Z_2 vs Z_4"
 
     # conjugate of A2 by a depth-3 elementary word
-    gens = elementary_generators(2)
-    word = matmul(matmul(gens[0][0], gens[3][0]), gens[4][0])
+    gens = [IntMatrix(g) for g in elementary_generators(2)]
+    word = matmul(matmul(gens[0], gens[3]), gens[4])
     conjugated = conjugate(A2, word)
     c_path = tmp_path / "conj.txt"
     c_path.write_text("\n".join(" ".join(str(x) for x in row) for row in conjugated))

@@ -14,19 +14,17 @@ from ckbundle import (
     ck_functor,
     compare_bundles,
     conjugacy_search,
-    conjugate,
     det,
     h1,
     k0,
     make_bundle,
     nonnegative_representative,
     normalize_monodromy,
-    random_unimodular,
     theorem1_check,
     unimodular_inverse,
 )
 
-from conftest import A2, A3, a1
+from conftest import A2, A3, a1, conjugate, random_unimodular
 
 
 def bundle_of(rows):

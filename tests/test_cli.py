@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-from ckbundle import IntMatrix, bundle, compare_bundles, det, make_bundle, random_unimodular, trace
+from ckbundle import IntMatrix, bundle, compare_bundles, det, make_bundle, trace
 from ckbundle.cli import InvariantReport, ParseError, build_report, main, parse_matrix
 
-from conftest import A2, A3, cli_in_subprocess
+from conftest import A2, A3, cli_in_subprocess, random_unimodular
 
 A2_TEXT = "5 2\n2 1\n"
 A3_TEXT = "5 1\n4 1\n"

@@ -13,7 +13,6 @@ from ckbundle import (
     charpoly,
     compare_bundles,
     conjugacy_search,
-    conjugate,
     det,
     k0,
     make_bundle,
@@ -24,10 +23,18 @@ from ckbundle import (
     unimodular_inverse,
     verify_se_witness,
 )
-from ckbundle.bundle import random_unimodular
-from ckbundle.sft import elementary_generators, unimodular_words
+from ckbundle.sft import unimodular_words
 
-from conftest import A2, A3, FIB, cli_in_subprocess, random_matrix, random_nonnegative
+from conftest import (
+    A2,
+    A3,
+    FIB,
+    cli_in_subprocess,
+    conjugate,
+    random_matrix,
+    random_nonnegative,
+    random_unimodular,
+)
 from oracles import (
     bounded_matrices_by_sum,
     conjugator_by_words,
@@ -242,21 +249,15 @@ def test_trace_sequence_computes_no_unread_power(monkeypatch):
             sum(matpow_naive(a.to_lists(), k)[i][i] for i in range(3)) for k in range(1, m + 1)
         ]
 
-def test_elementary_generators():
-    gens = elementary_generators(3)
-    assert len(gens) == 13  # 12 transvections + sign flip
-    for g, g_inv in gens:
-        assert matmul(g, g_inv) == IntMatrix.identity(3)
-        assert det(g) in (1, -1)
-
-
 def test_unimodular_words_deduplicated():
-    words = list(unimodular_words(2, 2))
-    mats = [w for w, _ in words]
-    assert mats[0] == IntMatrix.identity(2)
-    assert len(mats) == len(set(mats))
-    for w, w_inv in words:
-        assert matmul(w, w_inv) == IntMatrix.identity(2)
+    # depth 1 holds every generator with its inverse
+    for n in (1, 2, 3):
+        words = list(unimodular_words(n, 2))
+        mats = [w for w, _ in words]
+        assert mats[0] == IntMatrix.identity(n)
+        assert len(mats) == len(set(mats))
+        for w, w_inv in words:
+            assert matmul(w, w_inv) == IntMatrix.identity(n)
     # each walk begins with every shallower walk, in order, so conjugacy_search
     # meets its v words in the same order at odd depth (a walk of its own)
     # and at even depth (the words it has already tried)
