@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import ck, sft
-from .abelian import FgAbelianGroup, cokernel
+from .abelian import FgAbelianGroup
 from .intmat import (
     IntMatrix,
     IntPolynomial,
@@ -90,9 +90,9 @@ def _z_plus(g: FgAbelianGroup) -> FgAbelianGroup:
 
 
 def h1(a: IntMatrix) -> FgAbelianGroup:
-    """First homology of the bundle: Z + coker(A - I) = Z + coker(I - A)."""
+    """First homology of the bundle: Z + coker(A - I) = Z + bowen_franks(A)."""
     _require_square(a, "h1")
-    return _z_plus(cokernel(ck._identity_minus(a.entries)))
+    return _z_plus(ck.bowen_franks(a))
 
 
 def alexander_polynomial(a: IntMatrix) -> IntPolynomial:

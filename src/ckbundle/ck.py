@@ -7,7 +7,7 @@ therefore defined for any square matrix, admissible or not.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from math import gcd
 
 from .abelian import FgAbelianGroup, cokernel
@@ -89,40 +89,36 @@ def bowen_franks(a: IntMatrix) -> FgAbelianGroup:
     return cokernel(_identity_minus(a.entries))
 
 
-def _adjacency(a: IntMatrix) -> list[list[int]]:
-    return [[1 if x > 0 else 0 for x in row] for row in a.entries]
-
-
 def is_irreducible(a: IntMatrix) -> bool:
     """True iff the digraph with an arc i -> j whenever a[i, j] > 0 is
     strongly connected."""
     _require_square(a, "is_irreducible")
     _require_nonnegative(a, "is_irreducible")
-    return _period(_adjacency(a)) is not None
+    return _period(a.entries) is not None
 
 
-def _levels(adj: list[list[int]]) -> dict[int, int]:
+def _levels(rows: Sequence[Sequence[int]]) -> dict[int, int]:
     """BFS levels from vertex 0, in BFS order: level[v] is the length of a
     shortest path 0 -> v, for every v reachable from 0."""
     level = {0: 0}
     queue = [0]
     for u in queue:
-        for v, x in enumerate(adj[u]):
+        for v, x in enumerate(rows[u]):
             if x and v not in level:
                 level[v] = level[u] + 1
                 queue.append(v)
     return level
 
 
-def _period(adj: list[list[int]]) -> int | None:
-    """Period of the digraph (0 if it has no arcs), or None unless BFS from 0
-    reaches every vertex forwards and backwards: the gcd over arcs u -> v of
-    level[u] + 1 - level[v], levels from the forward BFS (Lind-Marcus,
-    Symbolic Dynamics and Coding, 4.5)."""
-    level = _levels(adj)
-    if len(level) < len(adj) or len(_levels(list(zip(*adj)))) < len(adj):
+def _period(rows: Sequence[Sequence[int]]) -> int | None:
+    """Period of the digraph with an arc u -> v wherever rows[u][v] > 0 (0 if
+    it has no arcs), or None unless BFS from 0 reaches every vertex forwards
+    and backwards: the gcd over arcs u -> v of level[u] + 1 - level[v], levels
+    from the forward BFS (Lind-Marcus, Symbolic Dynamics and Coding, 4.5)."""
+    level = _levels(rows)
+    if len(level) < len(rows) or len(_levels(list(zip(*rows)))) < len(rows):
         return None
-    return gcd(*(level[u] + 1 - level[v] for u in level for v, x in enumerate(adj[u]) if x))
+    return gcd(*(level[u] + 1 - level[v] for u in level for v, x in enumerate(rows[u]) if x))
 
 
 def is_primitive(a: IntMatrix) -> bool:
@@ -133,7 +129,7 @@ def is_primitive(a: IntMatrix) -> bool:
     """
     _require_square(a, "is_primitive")
     _require_nonnegative(a, "is_primitive")
-    return _period(_adjacency(a)) == 1
+    return _period(a.entries) == 1
 
 
 def edge_dilation(a: IntMatrix) -> IntMatrix:

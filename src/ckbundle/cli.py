@@ -165,6 +165,7 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
     d = det(m)
     nonneg = m.is_nonnegative
     k0 = ck.k0(m)
+    primitive = ck.is_primitive(m) if nonneg else None  # primitive implies irreducible
     normalized = h_1 = alexander = thm1 = None
     if d in (1, -1):
         normalized = bundle.normalize_monodromy(m).flipped
@@ -191,8 +192,8 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
             bowen_franks=k0,
             h1=h_1,
             alexander=alexander,
-            irreducible=ck.is_irreducible(m) if nonneg else None,
-            primitive=ck.is_primitive(m) if nonneg else None,
+            irreducible=(primitive or ck.is_irreducible(m)) if nonneg else None,
+            primitive=primitive,
             theorem1_check=thm1,
         ),
         warnings,

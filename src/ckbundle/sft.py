@@ -286,8 +286,8 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     if search_depth < 0:
         raise ValueError(f"search depth must be >= 0, got {search_depth}")
     for m, name in ((a, "a"), (b, "b")):
-        if det(m) not in (1, -1):
-            raise ValueError(f"{name} has determinant {det(m)}, expected +/-1")
+        if (d := det(m)) not in (1, -1):
+            raise ValueError(f"{name} has determinant {d}, expected +/-1")
     obstruction = conjugacy_obstruction(a, b)
     if obstruction is not None:
         return ConjugacyResult(ConjugacyStatus.NOT_CONJUGATE, obstruction=obstruction)

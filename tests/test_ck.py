@@ -17,6 +17,8 @@ from ckbundle import (
     make_descriptor,
     trace_sequence,
 )
+from ckbundle import ck
+from ckbundle.cli import build_report
 
 from conftest import (
     A2,
@@ -156,19 +158,57 @@ def _block_cyclic(rng, sizes):
     return rows
 
 
-def test_primitive_edge_cases():
-    assert is_irreducible(IntMatrix([[0]]))
+def _flag_corpus():
+    """(rows, irreducible, primitive), known by construction: [[0]], [[1]],
+    the 2-cycle, a chorded 3-cycle, and positive, block-cyclic (period 2..4)
+    and block-triangular (reducible) matrices with their vertices relabelled
+    at random."""
     # 3-cycle 0 -> 1 -> 2 -> 0 plus the chord 1 -> 0: cycle lengths 3 and 2
     chorded = [[0, 1, 0], [1, 0, 1], [1, 0, 0]]
+    corpus = [([[0]], True, False), ([[1]], True, True), ([[0, 1], [1, 0]], True, False)]
+    corpus.append((chorded, True, True))
     rng = random.Random(37)
     perm = list(range(7))
     rng.shuffle(perm)
-    relabelled = _relabel(_block_cyclic(rng, [2, 3, 2]), perm)
-    assert is_irreducible(IntMatrix(relabelled))
-    cases = [([[0]], False), ([[1]], True), ([[0, 1], [1, 0]], False), (chorded, True)]
-    cases.append((relabelled, False))
-    for rows, expected in cases:
-        assert is_primitive(IntMatrix(rows)) == primitive_by_powers(rows) == expected
+    corpus.append((_relabel(_block_cyclic(rng, [2, 3, 2]), perm), True, False))
+    for trial in range(18):
+        sizes = [rng.randint(1, 3) for _ in range(2 + trial // 3 % 3)]
+        n = sum(sizes)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        if trial % 3 == 0:
+            rows = [[rng.randint(1, 3) for _ in range(n)] for _ in range(n)]
+            irreducible = primitive = True
+        elif trial % 3 == 1:
+            rows, irreducible, primitive = _block_cyclic(rng, sizes), True, False
+        else:
+            # no arc from a later class back to an earlier one
+            cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+            rows = [[rng.randint(0, 2) * (cls[i] <= cls[j]) for j in range(n)] for i in range(n)]
+            irreducible = primitive = False
+        corpus.append((_relabel(rows, perm), irreducible, primitive))
+    return corpus
+
+
+def test_primitive_edge_cases(monkeypatch):
+    calls = []
+    levels = ck._levels
+
+    def counting(rows):
+        calls.append(rows)
+        return levels(rows)
+
+    monkeypatch.setattr(ck, "_levels", counting)
+    for rows, irreducible, primitive in _flag_corpus():
+        m = IntMatrix(rows)
+        calls.clear()
+        report, _ = build_report(m)
+        # a primitive report walks its digraph once (a forward and a
+        # backward BFS); an imprimitive irreducible one asks is_irreducible too
+        if irreducible:
+            assert len(calls) == (2 if primitive else 4), rows
+        assert report.irreducible is is_irreducible(m) is irreducible, rows
+        assert report.primitive is is_primitive(m) is primitive_by_powers(rows) is primitive, rows
 
 
 def test_primitive_matches_power_oracle():

@@ -402,6 +402,27 @@ def test_cli_se_search_skips_search_when_obstructed(tmp_path, capsys, monkeypatc
     )
 
 
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """The entry point, smith_normal_form or smith_diagonal, of every Smith
+    factorization in call order, counted wherever the entry point is bound."""
+    import ckbundle
+    from ckbundle import intmat
+
+    log = []
+    for name in ("smith_normal_form", "smith_diagonal"):
+        original = getattr(intmat, name)
+
+        def counting(a, original=original, name=name):
+            log.append(name)
+            return original(a)
+
+        for module in vars(ckbundle).values():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return log
+
+
 # the inverse of the companion of t^3 - 3t^2 - 2t - 1: det 1, trace -2
 M_INV = IntMatrix([[-2, 1, 0], [-3, 0, 1], [1, 0, 0]])
 
@@ -416,48 +437,11 @@ M_INV = IntMatrix([[-2, 1, 0], [-3, 0, 1], [1, 0, 0]])
         (-IntMatrix.identity(3), 1),
     ],
 )
-def test_build_report_smith_calls(monkeypatch, m, calls):
-    # Smith factorizations through either entry point, counted wherever it
-    # is bound; a report reads only diagonals, so it asks for no transforms
-    import ckbundle
-    from ckbundle import intmat
-
-    seen = {"smith_normal_form": [], "smith_diagonal": []}
-    for name, log in seen.items():
-        original = getattr(intmat, name)
-
-        def counting(a, original=original, log=log):
-            log.append(a)
-            return original(a)
-
-        for module in vars(ckbundle).values():
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+def test_build_report_smith_calls(smith_calls, m, calls):
+    # a report reads only diagonals, so it asks for no transforms
     report, _ = build_report(m)
-    assert len(seen["smith_normal_form"]) + len(seen["smith_diagonal"]) == calls
-    assert seen["smith_normal_form"] == []
+    assert smith_calls == ["smith_diagonal"] * calls
     assert report.bowen_franks == report.k0
-
-
-@pytest.fixture
-def smith_calls(monkeypatch):
-    """The matrices of every Smith factorization, through either entry
-    point, wherever it is bound."""
-    import ckbundle
-    from ckbundle import intmat
-
-    log = []
-    for name in ("smith_normal_form", "smith_diagonal"):
-        original = getattr(intmat, name)
-
-        def counting(a, original=original):
-            log.append(a)
-            return original(a)
-
-        for module in vars(ckbundle).values():
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
-    return log
 
 
 @pytest.mark.parametrize(
