@@ -20,6 +20,7 @@ __all__ = [
     "k0",
     "k1",
     "bowen_franks",
+    "period",
     "is_irreducible",
     "is_primitive",
     "edge_dilation",
@@ -89,14 +90,6 @@ def bowen_franks(a: IntMatrix) -> FgAbelianGroup:
     return cokernel(_identity_minus(a.entries))
 
 
-def is_irreducible(a: IntMatrix) -> bool:
-    """True iff the digraph with an arc i -> j whenever a[i, j] > 0 is
-    strongly connected."""
-    _require_square(a, "is_irreducible")
-    _require_nonnegative(a, "is_irreducible")
-    return _period(a.entries) is not None
-
-
 def _levels(rows: Sequence[Sequence[int]]) -> dict[int, int]:
     """BFS levels from vertex 0, in BFS order: level[v] is the length of a
     shortest path 0 -> v, for every v reachable from 0."""
@@ -110,26 +103,31 @@ def _levels(rows: Sequence[Sequence[int]]) -> dict[int, int]:
     return level
 
 
-def _period(rows: Sequence[Sequence[int]]) -> int | None:
-    """Period of the digraph with an arc u -> v wherever rows[u][v] > 0 (0 if
-    it has no arcs), or None unless BFS from 0 reaches every vertex forwards
-    and backwards: the gcd over arcs u -> v of level[u] + 1 - level[v], levels
-    from the forward BFS (Lind-Marcus, Symbolic Dynamics and Coding, 4.5)."""
+def period(a: IntMatrix) -> int | None:
+    """Period of the digraph of the square nonnegative matrix a, with an arc
+    i -> j whenever a[i, j] > 0: the gcd of its cycle lengths (0 for [[0]]), or
+    None unless BFS from vertex 0 reaches every vertex forwards and backwards.
+    The gcd is over arcs u -> v of level[u] + 1 - level[v], levels from the
+    forward BFS (Lind-Marcus, Symbolic Dynamics and Coding, 4.5). O(n^2)."""
+    _require_square(a, "period")
+    _require_nonnegative(a, "period")
+    rows = a.entries
     level = _levels(rows)
     if len(level) < len(rows) or len(_levels(list(zip(*rows)))) < len(rows):
         return None
     return gcd(*(level[u] + 1 - level[v] for u in level for v, x in enumerate(rows[u]) if x))
 
 
-def is_primitive(a: IntMatrix) -> bool:
-    """True iff some power of a is entrywise strictly positive.
+def is_irreducible(a: IntMatrix) -> bool:
+    """True iff the digraph of the nonnegative matrix a is strongly connected."""
+    return period(a) is not None
 
-    Decided on the 0/1 pattern (nonnegativity means no cancellation): a is
-    primitive iff its digraph is strongly connected with period 1. O(n^2).
-    """
-    _require_square(a, "is_primitive")
-    _require_nonnegative(a, "is_primitive")
-    return _period(a.entries) == 1
+
+def is_primitive(a: IntMatrix) -> bool:
+    """True iff some power of the nonnegative matrix a is entrywise strictly
+    positive: its digraph is strongly connected with period 1 (nonnegativity
+    means no cancellation, so the 0/1 pattern decides)."""
+    return period(a) == 1
 
 
 def edge_dilation(a: IntMatrix) -> IntMatrix:

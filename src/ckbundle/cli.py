@@ -163,9 +163,12 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
         raise ValueError(f"invariants require a square matrix, got {m.shape}")
     warnings = []
     d = det(m)
-    nonneg = m.is_nonnegative
     k0 = ck.k0(m)
-    primitive = ck.is_primitive(m) if nonneg else None  # primitive implies irreducible
+    try:
+        p = ck.period(m)
+        irreducible, primitive = p is not None, p == 1
+    except ck.NotNonnegative:
+        irreducible = primitive = None
     normalized = h_1 = alexander = thm1 = None
     if d in (1, -1):
         normalized = bundle.normalize_monodromy(m).flipped
@@ -178,7 +181,7 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
             f"determinant {d} is not +/-1: bundle fields (h1, alexander, "
             "theorem1_check) are omitted"
         )
-    if not nonneg:
+    if irreducible is None:
         warnings.append("matrix has negative entries: irreducible/primitive are omitted")
     return (
         InvariantReport(
@@ -192,7 +195,7 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
             bowen_franks=k0,
             h1=h_1,
             alexander=alexander,
-            irreducible=(primitive or ck.is_irreducible(m)) if nonneg else None,
+            irreducible=irreducible,
             primitive=primitive,
             theorem1_check=thm1,
         ),

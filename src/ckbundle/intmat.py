@@ -277,10 +277,7 @@ def charpoly(a: IntMatrix) -> IntPolynomial:
             if k:
                 vec = [sum(map(operator.mul, row, vec)) for row in block]
             column.append(-sum(map(operator.mul, left, vec)))
-        coeffs = [
-            sum(column[i - j] * coeffs[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
-            for i in range(r + 2)
-        ]
+        coeffs = [sum(map(operator.mul, column[i::-1], coeffs)) for i in range(r + 2)]
     return IntPolynomial(tuple(reversed(coeffs)))
 
 

@@ -104,6 +104,24 @@ def primitive_by_powers(rows):
     return False
 
 
+def period_by_closed_walks(rows):
+    """Period of the digraph of a nonnegative square matrix from its 0/1
+    pattern B: None unless (I + B)^(n - 1) is entrywise positive (strongly
+    connected), else the gcd of the k <= n with tr(B^k) > 0, 0 when there is
+    none. Every simple cycle has length <= n, so this gcd is the period."""
+    n = len(rows)
+    pattern = [[int(x > 0) for x in row] for row in rows]
+    reach = matpow_naive([[int(i == j) | pattern[i][j] for j in range(n)] for i in range(n)], n - 1)
+    if not all(all(row) for row in reach):
+        return None
+    lengths, power = [], matpow_naive(pattern, 0)
+    for k in range(1, n + 1):
+        power = matmul_lists(power, pattern)  # B^k
+        if sum(power[i][i] for i in range(n)) > 0:
+            lengths.append(k)
+    return gcd(*lengths)
+
+
 def charpoly_faddeev(rows):
     """Ascending coefficients of det(tI - A) by the Faddeev-LeVerrier
     recurrence M_k = A M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(A M_k) / k; the

@@ -15,6 +15,7 @@ from ckbundle import (
     k0,
     k1,
     make_descriptor,
+    period,
     trace_sequence,
 )
 from ckbundle import ck
@@ -30,7 +31,12 @@ from conftest import (
     random_matrix,
     random_unimodular,
 )
-from oracles import brute_kernel_vectors, primitive_by_powers, rank_by_minors
+from oracles import (
+    brute_kernel_vectors,
+    period_by_closed_walks,
+    primitive_by_powers,
+    rank_by_minors,
+)
 
 
 def test_make_descriptor():
@@ -198,22 +204,39 @@ def test_primitive_edge_cases(monkeypatch):
         calls.append(rows)
         return levels(rows)
 
+    scans = []
+    is_nonnegative = IntMatrix.is_nonnegative.fget
+
+    def counting_scan(self):
+        scans.append(self)
+        return is_nonnegative(self)
+
     monkeypatch.setattr(ck, "_levels", counting)
+    monkeypatch.setattr(IntMatrix, "is_nonnegative", property(counting_scan))
     for rows, irreducible, primitive in _flag_corpus():
         m = IntMatrix(rows)
         calls.clear()
+        scans.clear()
         report, _ = build_report(m)
-        # a primitive report walks its digraph once (a forward and a
-        # backward BFS); an imprimitive irreducible one asks is_irreducible too
-        if irreducible:
-            assert len(calls) == (2 if primitive else 4), rows
+        # one period per report: one sign scan, a forward BFS and, when that
+        # reaches every vertex, a backward one
+        assert len(scans) == 1, rows
+        assert len(calls) == 2 if irreducible else 1 <= len(calls) <= 2, rows
         assert report.irreducible is is_irreducible(m) is irreducible, rows
         assert report.primitive is is_primitive(m) is primitive_by_powers(rows) is primitive, rows
+        assert period(m) == period_by_closed_walks(rows), rows
+    calls.clear()
+    scans.clear()
+    report, warnings = build_report(IntMatrix([[2, -1], [1, 0]]))
+    assert len(scans) == 1 and not calls
+    assert report.irreducible is report.primitive is None
+    assert warnings == ["matrix has negative entries: irreducible/primitive are omitted"]
 
 
 def test_primitive_matches_power_oracle():
     rng = random.Random(38)
     seen = {True: 0, False: 0}
+    periods = set()
     for trial in range(2100):
         n = 1 + trial % 7
         density = (0.15, 0.3, 0.5, 0.8)[trial // 7 % 4]
@@ -223,7 +246,26 @@ def test_primitive_matches_power_oracle():
         expected = primitive_by_powers(rows)
         assert is_primitive(IntMatrix(rows)) == expected, rows
         seen[expected] += 1
+        periods.add(expected_period := period_by_closed_walks(rows))
+        assert period(IntMatrix(rows)) == expected_period, rows
     assert min(seen.values()) > 300
+    assert {None, 0, 1, 2} <= periods, periods
+
+
+def test_period_edge_values():
+    assert period(IntMatrix([[0]])) == 0
+    assert period(IntMatrix([[1]])) == 1
+    for k in range(1, 8):
+        cycle = IntMatrix([[int(j == (i + 1) % k) for j in range(k)] for i in range(k)])
+        assert period(cycle) == k
+    assert period(IntMatrix([[1, 1], [0, 1]])) is None
+    assert period(IntMatrix([[0, 0], [0, 0]])) is None
+    with pytest.raises(NotNonnegative):
+        period(IntMatrix([[0, -1], [1, 0]]))
+    # squareness is checked before signs
+    with pytest.raises(ValueError) as info:
+        period(IntMatrix([[1, -1, 0], [0, 1, 0]]))
+    assert info.type is ValueError
 
 
 def test_primitive_matches_power_oracle_property():
