@@ -17,6 +17,7 @@ from .intmat import (
     IntPolynomial,
     NotUnimodular,
     _require_square,
+    _require_unimodular,
     charpoly,
     det,
     matmul,
@@ -53,9 +54,7 @@ def make_bundle(a: IntMatrix) -> IntMatrix:
     """Validate a as a monodromy matrix (square, determinant +/-1); return it."""
     if not a.is_square:
         raise ValueError(f"monodromy must be square, got {a.shape}")
-    d = det(a)
-    if d not in (1, -1):
-        raise NotUnimodular(f"monodromy has determinant {d}, expected +/-1")
+    _require_unimodular(a, "monodromy")
     return a
 
 
@@ -152,9 +151,11 @@ def compare_bundles(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Compar
     """Distinguish or identify two bundles of the same fiber dimension; both
     monodromies pass make_bundle first.
 
-    Distinct requires an invariant mismatch (K0 of the functor images, or
-    H1); Homeomorphic requires an explicit unimodular conjugator between the
-    monodromies, found by bounded search; anything else is Inconclusive.
+    Distinct requires an invariant mismatch (K0 of the functor images, H1,
+    or det: T_A is orientable iff det A = +1, and orientability is a
+    homeomorphism invariant); Homeomorphic requires an explicit unimodular
+    conjugator between the monodromies, found by bounded search; anything
+    else is Inconclusive.
 
     K0 is used only when both monodromies were normalized the same way: with
     one side sign-flipped the two images are the K-theory of +A and -B, which
@@ -163,13 +164,13 @@ def compare_bundles(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Compar
     make_bundle(a), make_bundle(b)
     if a.rows != b.rows:
         raise ValueError(f"cannot compare bundles of fiber dimension {a.rows} and {b.rows}")
-    if search_depth < 0:
-        raise ValueError(f"search depth must be >= 0, got {search_depth}")
+    sft._require_depth(search_depth)
     f1, f2 = normalize_monodromy(a).flipped, normalize_monodromy(b).flipped
     rungs = [("K0", lambda m: ck_functor(m).k0)] if f1 == f2 else []
     # unflipped, K0 and H1 share one Smith diagonal: H1 cannot differ once K0 agrees
     if f1 or f2:
         rungs.append(("H1", h1))
+    rungs.append(("det", det))
     difference = sft._first_difference(a, b, rungs)
     if difference is not None:
         return ComparisonVerdict(Outcome.DISTINCT, witness=difference)

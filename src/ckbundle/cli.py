@@ -21,29 +21,23 @@ class ParseError(ValueError):
     """Raised for malformed matrix input."""
 
 
-def _digit_limit() -> int:
-    """Longest decimal string int() converts (0: no limit)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _too_long(where: str, digits: int) -> ParseError:
-    return ParseError(
-        f"{where}: integer of {digits} digits exceeds the limit of {_digit_limit()} digits"
-    )
-
-
-class _LongInt:
-    """A JSON integer too long to convert, kept as its digit count."""
-
-    def __init__(self, digits: int):
-        self.digits = digits
-
-
-def _json_int(token: str) -> int | _LongInt:
+def _integer(token: str, where: str) -> int:
+    """int(token, 10), or a ParseError that starts with where and measures
+    the token instead of echoing it."""
     try:
-        return int(token)
+        return int(token, 10)
     except ValueError:
-        return _LongInt(len(token.lstrip("-")))
+        digits = token.lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if digits.isdecimal() and 0 < limit < len(digits):
+            message = f"integer of {len(digits)} digits exceeds the limit of {limit} digits"
+        else:
+            message = f"token of {len(token)} characters is not an integer"
+        raise ParseError(f"{where}: {message}") from None
+
+
+class _IntLiteral(str):
+    """A JSON integer literal, kept as its text until _integer converts it."""
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -59,28 +53,19 @@ def parse_matrix(text: str) -> IntMatrix:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        row = []
-        for token in line.split():
-            try:
-                row.append(int(token, 10))
-            except ValueError:
-                digits = token.lstrip("+-").replace("_", "")
-                if digits.isdecimal() and 0 < _digit_limit() < len(digits):
-                    raise _too_long(f"line {lineno}", len(digits)) from None
-                raise ParseError(
-                    f"line {lineno}: token of {len(token)} characters is not an integer"
-                ) from None
+        where = f"line {lineno}"
+        row = [_integer(token, where) for token in line.split()]
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise ParseError(f"line {lineno}: expected {width} entries, got {len(row)}")
+            raise ParseError(f"{where}: expected {width} entries, got {len(row)}")
         rows.append(row)
     return IntMatrix(rows)
 
 
 def _parse_json_matrix(text: str) -> IntMatrix:
     try:
-        obj = json.loads(text, parse_int=_json_int)
+        obj = json.loads(text, parse_int=_IntLiteral)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "rows" not in obj:
@@ -93,11 +78,10 @@ def _parse_json_matrix(text: str) -> IntMatrix:
             raise ParseError(f"row {i} is not a list")
         if len(row) != len(rows[0]):
             raise ParseError(f"row {i}: expected {len(rows[0])} entries, got {len(row)}")
-        for x in row:
-            if isinstance(x, _LongInt):
-                raise _too_long(f"row {i}", x.digits)
-            if isinstance(x, bool) or not isinstance(x, int):
+        for j, x in enumerate(row):
+            if not isinstance(x, _IntLiteral):
                 raise ParseError(f"row {i}: {type(x).__name__} entry is not an integer")
+            row[j] = _integer(x, f"row {i}")
     return IntMatrix(rows)
 
 

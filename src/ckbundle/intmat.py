@@ -143,6 +143,11 @@ def _require_square(a: IntMatrix, what: str) -> None:
         raise ValueError(f"{what} requires a square matrix, got {a.shape}")
 
 
+def _require_unimodular(a: IntMatrix, what: str) -> None:
+    if (d := det(a)) not in (1, -1):
+        raise NotUnimodular(f"{what} has determinant {d}, expected +/-1")
+
+
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
     if a.cols != b.rows:
@@ -528,8 +533,7 @@ def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +/-1."""
     _require_square(a, "unimodular_inverse")
+    _require_unimodular(a, "matrix")
     dec = smith_normal_form(a)
-    if any(x != 1 for x in dec.diagonal()):
-        raise NotUnimodular(f"matrix has determinant {det(a)}, expected +/-1")
     # u @ a @ v == I, so a^{-1} = v @ u
     return matmul(dec.v, dec.u)

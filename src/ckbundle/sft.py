@@ -16,7 +16,8 @@ from operator import mul
 from typing import Callable, Iterator
 
 from . import ck
-from .intmat import IntMatrix, _echelon, _require_square, det, matmul, matpow, trace
+from .intmat import IntMatrix, _echelon, _require_square, _require_unimodular, det, matmul
+from .intmat import matpow, trace
 
 __all__ = [
     "SEWitness",
@@ -203,14 +204,18 @@ def _add_row(m: IntMatrix, i: int, j: int, s: int) -> IntMatrix:
     return IntMatrix._wrap(rows[:i] + (new_row,) + rows[i + 1 :])
 
 
+def _require_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"search depth must be >= 0, got {depth}")
+
+
 def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
     """(matrix, inverse) pairs for all products of at most max_length
     elementary generators, deduplicated, in breadth-first order starting from
     the identity. The order is deterministic, so "first hit" semantics are
     reproducible. A word w extended by a generator g is w @ g, a column
     operation on w, with inverse g^{-1} @ w^{-1}, a row operation."""
-    if max_length < 0:
-        raise ValueError(f"search depth must be >= 0, got {max_length}")
+    _require_depth(max_length)
     ident = IntMatrix.identity(n)
     yield ident, ident
     seen = {ident}
@@ -283,11 +288,8 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     """
     if not (a.is_square and b.is_square) or a.shape != b.shape:
         raise ValueError(f"conjugacy needs equal square shapes, got {a.shape} and {b.shape}")
-    if search_depth < 0:
-        raise ValueError(f"search depth must be >= 0, got {search_depth}")
-    for m, name in ((a, "a"), (b, "b")):
-        if (d := det(m)) not in (1, -1):
-            raise ValueError(f"{name} has determinant {d}, expected +/-1")
+    _require_depth(search_depth)
+    _require_unimodular(a, "a"), _require_unimodular(b, "b")
     obstruction = conjugacy_obstruction(a, b)
     if obstruction is not None:
         return ConjugacyResult(ConjugacyStatus.NOT_CONJUGATE, obstruction=obstruction)

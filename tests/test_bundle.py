@@ -247,8 +247,8 @@ def test_compare_inconclusive_without_certificate():
 
 def _reference_verdict(b1, b2, search_depth):
     """compare_bundles from the full ladder: K0 of the functor images when
-    the flips match, then H1 always, then the conjugacy search."""
-    rungs = [("H1", h1)]
+    the flips match, then H1 and det always, then the conjugacy search."""
+    rungs = [("H1", h1), ("det", det)]
     if normalize_monodromy(b1).flipped == normalize_monodromy(b2).flipped:
         rungs.insert(0, ("K0", lambda b: ck_functor(b).k0))
     for name, invariant in rungs:
@@ -293,6 +293,7 @@ def test_compare_matches_the_full_ladder():
         witnesses[verdict.witness[:3]] += 1
     assert min(flips.values()) > 50 and len(flips) == 4
     assert min(witnesses[w] for w in ("K0:", "H1:", "no ")) > 20
+    assert witnesses["det"] > 0
 
 
 def test_random_unimodular_is_unimodular():

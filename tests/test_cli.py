@@ -368,6 +368,7 @@ needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no dig
 def test_parse_oversized_integer_text_and_json():
     limit = DIGIT_LIMIT
     token = "1" * (limit + 700)
+    messages = set()
     for text, where in ((f"1 2\n3 {token}\n", "line 2"), (f'{{"rows": [[1, -{token}]]}}', "row 1")):
         with pytest.raises(ParseError) as info:
             parse_matrix(text)
@@ -375,6 +376,9 @@ def test_parse_oversized_integer_text_and_json():
         assert message.startswith(f"{where}: ")
         assert f"{limit + 700} digits" in message and f"limit of {limit}" in message
         assert "1111111111" not in message
+        messages.add(message.removeprefix(f"{where}: "))
+    # text and JSON integers go through one reader, so one message
+    assert len(messages) == 1
     assert parse_matrix("1" * limit) == IntMatrix([[int("1" * limit)]])
 
 
@@ -516,7 +520,13 @@ def test_json_non_integer_entry_is_named_not_echoed(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: row 2: list entry is not an integer\n"
-    for entry, kind in (("1.5", "float"), ('"x"', "str"), ("true", "bool"), ("null", "NoneType")):
+    for entry, kind in (
+        ("1.5", "float"),
+        ('"x"', "str"),
+        ('"5"', "str"),
+        ("true", "bool"),
+        ("null", "NoneType"),
+    ):
         with pytest.raises(ParseError, match=f"^row 1: {kind} entry is not an integer$"):
             parse_matrix('{"rows": [[' + entry + "]]}")
 

@@ -222,6 +222,31 @@ def test_compare_certificate_rows(run):
     )
 
 
+def test_compare_determinants_differ(run):
+    # T_A is orientable iff det A = +1, so the bundles are Distinct
+    mats = {"a": "1 1\n1 0\n", "b": "2 1\n1 1\n"}
+    assert run("compare", "a", "b", **mats) == (
+        1,
+        "verdict: Distinct\nwitness: det: -1 vs 1\n",
+        "",
+    )
+    assert run("compare", "a", "b", "--format", "json", **mats) == (
+        1,
+        _json({"verdict": "Distinct", "witness": "det: -1 vs 1", "certificate": None}),
+        "",
+    )
+
+
+def test_conj_search_rejects_non_unimodular(run):
+    mats = {"a": "2 0\n0 1\n", "b": "1 0\n0 1\n"}
+    for fmt in ("text", "json"):
+        assert run("conj-search", "a", "b", "--format", fmt, **mats) == (
+            3,
+            "",
+            "error: a has determinant 2, expected +/-1\n",
+        )
+
+
 def test_conj_search_conjugator_rows(run):
     assert run("conj-search", "a", "b", "--format", "json", a=A2_TEXT, b="7 -4\n2 -1\n") == (
         0,

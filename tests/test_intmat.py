@@ -515,3 +515,5 @@ def test_unimodular_inverse():
         assert matmul(u, unimodular_inverse(u)) == IntMatrix.identity(n)
     with pytest.raises(NotUnimodular):
         unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(NotUnimodular, match=r"^matrix has determinant 0, expected \+/-1$"):
+        unimodular_inverse(IntMatrix([[1, 2], [2, 4]]))

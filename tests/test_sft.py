@@ -7,6 +7,7 @@ from ckbundle import (
     ConjugacyStatus,
     IntMatrix,
     IntPolynomial,
+    NotUnimodular,
     Outcome,
     SEWitness,
     bowen_franks,
@@ -436,7 +437,7 @@ def test_conjugacy_search_definitive_obstruction():
 def test_conjugacy_search_validation():
     with pytest.raises(ValueError):
         conjugacy_search(A2, IntMatrix.identity(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(NotUnimodular, match=r"^a has determinant 2, expected \+/-1$"):
         conjugacy_search(IntMatrix([[2, 0], [0, 1]]), IntMatrix.identity(2))
 
 
