@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -368,8 +369,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         obj, text, status = args.handler(args)
-        print(text if args.format == "text" else json.dumps(obj, indent=2))
     except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    try:
+        print(text if args.format == "text" else json.dumps(obj, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (say, `| head -1`), which is no fault of the
+        # input; stdout goes to devnull so the flush at exit cannot warn
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return status

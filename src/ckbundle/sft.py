@@ -9,11 +9,13 @@ definitive.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import ck
 from .intmat import IntMatrix, _echelon, _require_square, _require_unimodular, det, matmul
@@ -182,7 +184,10 @@ def trace_sequence(a: IntMatrix, m: int) -> list[int]:
     return out
 
 
-def _elementary_moves(n: int) -> list[tuple[int, int, int, int]]:
+_Move = tuple[int, int, int, int]
+
+
+def _elementary_moves(n: int) -> list[_Move]:
     """(i, j, s, s_inv) per elementary generator of GL_n(Z), in a fixed
     order: transvections E_ij(+1), E_ij(-1) by row-major (i, j), then the
     sign flip diag(-1, 1, ..., 1). The generator is I + s·e_ij and its
@@ -209,31 +214,85 @@ def _require_depth(depth: int) -> None:
         raise ValueError(f"search depth must be >= 0, got {depth}")
 
 
+def _walk(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix, int, _Move | None]]:
+    """(word, inverse, parent index, move) for every product of at most
+    max_length elementary generators, deduplicated, breadth first from the
+    identity (parent -1, move None). A word w extended by the generator g of
+    a move is w @ g, a column operation on w, with inverse g^{-1} @ w^{-1}, a
+    row operation; its parent is w's index in this walk."""
+    _require_depth(max_length)
+    ident = IntMatrix.identity(n)
+    yield ident, ident, -1, None
+    seen = {ident}
+    frontier = [(0, ident, ident)]
+    moves = _elementary_moves(n)
+    for _ in range(max_length):
+        nxt = []
+        for parent, w, w_inv in frontier:
+            for move in moves:
+                i, j, s, s_inv = move
+                m = _add_column(w, i, j, s)
+                if m not in seen:
+                    seen.add(m)
+                    m_inv = _add_row(w_inv, i, j, s_inv)
+                    nxt.append((len(seen) - 1, m, m_inv))  # m's index in the walk
+                    yield m, m_inv, parent, move
+        if not nxt:
+            return
+        frontier = nxt
+
+
 def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
     """(matrix, inverse) pairs for all products of at most max_length
     elementary generators, deduplicated, in breadth-first order starting from
     the identity. The order is deterministic, so "first hit" semantics are
-    reproducible. A word w extended by a generator g is w @ g, a column
-    operation on w, with inverse g^{-1} @ w^{-1}, a row operation."""
-    _require_depth(max_length)
-    ident = IntMatrix.identity(n)
-    yield ident, ident
-    seen = {ident}
-    frontier = [(ident, ident)]
-    moves = _elementary_moves(n)
-    for _ in range(max_length):
-        nxt = []
-        for w, w_inv in frontier:
-            for i, j, s, s_inv in moves:
-                m = _add_column(w, i, j, s)
-                if m not in seen:
-                    seen.add(m)
-                    pair = (m, _add_row(w_inv, i, j, s_inv))
-                    nxt.append(pair)
-                    yield pair
-        if not nxt:
-            return
-        frontier = nxt
+    reproducible. Each word is its parent word times one generator, a column
+    operation (its inverse a row operation). The walk is lazy: a caller that
+    stops early builds no further word. conjugacy_search reads the same walk
+    from a cached ball instead."""
+    for w, w_inv, _, _ in _walk(n, max_length):
+        yield w, w_inv
+
+
+class _Ball(NamedTuple):
+    """The walk of unimodular_words(n, h) with its bookkeeping: the words of
+    length <= h in GL_n(Z)'s elementary generators, in walk order."""
+
+    words: tuple[tuple[IntMatrix, IntMatrix], ...]  # (word, inverse)
+    steps: tuple[tuple[int, _Move | None], ...]  # (parent index, move)
+    inverse: tuple[int, ...]  # the index of each word's inverse
+    counts: tuple[int, ...]  # counts[k]: the number of words of length <= k
+
+    def conjugated(self, m: IntMatrix, count: int) -> Iterator[IntMatrix]:
+        """x^{-1} @ m @ x for the first count words x, lazily. For x = p @ g,
+        g the generator of x's move, it is g^{-1} @ (p^{-1} @ m @ p) @ g:
+        the parent's value after one column and one row operation."""
+        values = [m]
+        yield m
+        for parent, (i, j, s, s_inv) in islice(self.steps, 1, count):
+            value = _add_row(_add_column(values[parent], i, j, s), i, j, s_inv)
+            values.append(value)
+            yield value
+
+
+# at most 8 balls per process: comparing 2x2 and 3x3 bundles at the default
+# depth needs two, and the largest ball any test builds, 6x6 at h = 2, holds
+# 2,462 words
+@lru_cache(maxsize=8)
+def _ball(n: int, h: int) -> _Ball:
+    """The walk of unimodular_words(n, h), collected once per (n, h)."""
+    words, steps, lengths = [], [], []
+    for w, w_inv, parent, move in _walk(n, h):
+        words.append((w, w_inv))
+        steps.append((parent, move))
+        lengths.append(0 if move is None else lengths[parent] + 1)
+    index = {w: k for k, (w, _) in enumerate(words)}
+    return _Ball(
+        tuple(words),
+        tuple(steps),
+        tuple(index[w_inv] for _, w_inv in words),
+        tuple(bisect_right(lengths, k) for k in range(h + 1)),
+    )
 
 
 class ConjugacyStatus(Enum):
@@ -285,6 +344,11 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     meeting it, verified before it is returned; it is not proved to be an
     unsplit walk's first hit. When none meets, no word of length <=
     search_depth conjugates and the result is UNKNOWN.
+
+    The words of length <= h are walked once per process per (n, h) and
+    cached (_ball). Each conjugate x^{-1} @ m @ x, for m = a and m = b, comes
+    from its parent word's by one column and one row operation, not from
+    matrix products.
     """
     if not (a.is_square and b.is_square) or a.shape != b.shape:
         raise ValueError(f"conjugacy needs equal square shapes, got {a.shape} and {b.shape}")
@@ -293,17 +357,18 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     obstruction = conjugacy_obstruction(a, b)
     if obstruction is not None:
         return ConjugacyResult(ConjugacyStatus.NOT_CONJUGATE, obstruction=obstruction)
-    tried = []
-    for u, u_inv in unimodular_words(a.rows, (search_depth + 1) // 2):
+    ball = _ball(a.rows, (search_depth + 1) // 2)
+    for u, u_inv in ball.words:
         if _conjugates(u, u_inv, a, b):
             return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
-        tried.append((u, u_inv))
-    # reversed, so that each key keeps the first w in walk order
-    near_a = {matmul(matmul(w, a), w_inv): (w, w_inv) for w, w_inv in reversed(tried)}
-    # the words v of length <= floor(search_depth / 2): at even depth, tried
-    v_words = tried if search_depth % 2 == 0 else unimodular_words(a.rows, search_depth // 2)
-    for v, v_inv in v_words:
-        met = near_a.get(matmul(matmul(v_inv, b), v))
+    x_a = list(ball.conjugated(a, len(ball.words)))
+    # w @ a @ w^{-1} is x^{-1} @ a @ x at x = w^{-1}; reversed, so that each
+    # key keeps the first w in walk order
+    near_a = {x_a[ball.inverse[k]]: ball.words[k] for k in reversed(range(len(ball.words)))}
+    # the words v of length <= floor(search_depth / 2), a prefix of the ball
+    v_count = ball.counts[search_depth // 2]
+    for (v, v_inv), x_b in zip(ball.words, ball.conjugated(b, v_count)):
+        met = near_a.get(x_b)
         if met is not None:
             w, w_inv = met
             u, u_inv = matmul(v, w), matmul(w_inv, v_inv)

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ckbundle
 from ckbundle import (
     ConjugacyStatus,
     IntMatrix,
@@ -270,6 +275,72 @@ def test_unimodular_words_deduplicated():
             for h in range(depth):
                 shallower = list(unimodular_words(n, h))
                 assert deeper[: len(shallower)] == shallower
+
+
+def test_ball_is_the_word_walk():
+    # the cached ball is unimodular_words' walk with its bookkeeping: each
+    # word's inverse, the length counts, and conjugates by parent moves
+    from ckbundle.sft import _ball
+
+    rng = random.Random(50)
+    for n in (1, 2, 3):
+        for h in range(4):
+            ball = _ball(n, h)
+            words = list(unimodular_words(n, h))
+            assert list(ball.words) == words
+            for k, (w, w_inv) in enumerate(ball.words):
+                assert ball.words[ball.inverse[k]] == (w_inv, w)
+            assert ball.counts == tuple(
+                sum(1 for _ in unimodular_words(n, k)) for k in range(h + 1)
+            )
+            m = random_matrix(rng, n, n, -5, 5)
+            conjugated = list(ball.conjugated(m, len(words)))
+            assert conjugated == [matmul(matmul(x_inv, m), x) for x, x_inv in words]
+    assert len(_ball(6, 2).words) == 2462
+
+
+def test_ball_is_built_on_first_search(tmp_path):
+    code = "import ckbundle.sft as s; print(s._ball.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(ckbundle.__file__).parent.parent)),
+        timeout=30,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+
+def test_conjugacy_search_reuses_the_ball(monkeypatch):
+    # the UNKNOWN pair of test_conjugacy_search_unknown_work_is_bounded at
+    # D = 4: the ball of 134 words is walked once, with 182 column
+    # operations; each search then conjugates a and b along the ball's 133
+    # moves, and its only products are the 4 trace-sequence powers
+    from ckbundle import sft
+
+    rng = random.Random(48)
+    a = random_unimodular(3, 6, rng)
+    b = conjugate(a, random_unimodular(3, 24, rng))
+    products, columns = [], []
+    add_column = sft._add_column
+
+    def counting_matmul(x, y):
+        products.append(None)
+        return matmul(x, y)
+
+    def counting_column(*args):
+        columns.append(None)
+        return add_column(*args)
+
+    monkeypatch.setattr(sft, "matmul", counting_matmul)
+    monkeypatch.setattr(sft, "_add_column", counting_column)
+    sft._ball.cache_clear()
+    for expected_columns in (448, 266):
+        products.clear(), columns.clear()
+        assert conjugacy_search(a, b, search_depth=4).status is ConjugacyStatus.UNKNOWN
+        assert (len(products), len(columns)) == (4, expected_columns)
+    assert sft._ball.cache_info().misses == 1
 
 
 def test_conjugacy_search_self():
