@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from . import ck, sft
 from .abelian import FgAbelianGroup
@@ -19,7 +20,6 @@ from .intmat import (
     _require_square,
     _require_unimodular,
     charpoly,
-    det,
     matmul,
     trace,
 )
@@ -52,10 +52,16 @@ class NormalizedMonodromy:
 
 def make_bundle(a: IntMatrix) -> IntMatrix:
     """Validate a as a monodromy matrix (square, determinant +/-1); return it."""
+    return _monodromy(a).matrix
+
+
+def _monodromy(a: IntMatrix) -> sft._Profile:
+    """The profile of a, once a passes make_bundle."""
     if not a.is_square:
         raise ValueError(f"monodromy must be square, got {a.shape}")
-    _require_unimodular(a, "monodromy")
-    return a
+    profile = sft._Profile(a)
+    _require_unimodular(profile.det, "monodromy")
+    return profile
 
 
 def normalize_monodromy(a: IntMatrix) -> NormalizedMonodromy:
@@ -160,21 +166,24 @@ def compare_bundles(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Compar
     K0 is used only when both monodromies were normalized the same way: with
     one side sign-flipped the two images are the K-theory of +A and -B, which
     need not agree even for homeomorphic bundles (M against M^-1).
+
+    Each monodromy's det, K0 and trace sequence are computed at most once per
+    call, shared by the rungs and the conjugacy search; H1 = Z + K0 is read
+    off K0's Smith diagonal.
     """
-    make_bundle(a), make_bundle(b)
+    p, q = _monodromy(a), _monodromy(b)
     if a.rows != b.rows:
         raise ValueError(f"cannot compare bundles of fiber dimension {a.rows} and {b.rows}")
     sft._require_depth(search_depth)
-    f1, f2 = normalize_monodromy(a).flipped, normalize_monodromy(b).flipped
-    rungs = [("K0", lambda m: ck_functor(m).k0)] if f1 == f2 else []
-    # unflipped, K0 and H1 share one Smith diagonal: H1 cannot differ once K0 agrees
-    if f1 or f2:
-        rungs.append(("H1", h1))
-    rungs.append(("det", det))
-    difference = sft._first_difference(a, b, rungs)
+    rungs = [("H1", lambda side: _z_plus(side.k0)), ("det", attrgetter("det"))]
+    flipped = normalize_monodromy(a).flipped
+    if flipped == normalize_monodromy(b).flipped:
+        # the images are both raw monodromies or both sign-flipped
+        rungs.insert(0, ("K0", lambda side: ck.k0(-side.matrix) if flipped else side.k0))
+    difference = sft._first_difference(p, q, rungs)
     if difference is not None:
         return ComparisonVerdict(Outcome.DISTINCT, witness=difference)
-    result = sft.conjugacy_search(a, b, search_depth)
+    result = sft._search(p, q, search_depth)
     if result.status is sft.ConjugacyStatus.CONJUGATE:
         return ComparisonVerdict(
             Outcome.HOMEOMORPHIC,

@@ -143,8 +143,9 @@ def _require_square(a: IntMatrix, what: str) -> None:
         raise ValueError(f"{what} requires a square matrix, got {a.shape}")
 
 
-def _require_unimodular(a: IntMatrix, what: str) -> None:
-    if (d := det(a)) not in (1, -1):
+def _require_unimodular(d: int, what: str) -> None:
+    """Raise NotUnimodular unless d, the determinant of what, is +/-1."""
+    if d not in (1, -1):
         raise NotUnimodular(f"{what} has determinant {d}, expected +/-1")
 
 
@@ -533,7 +534,7 @@ def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +/-1."""
     _require_square(a, "unimodular_inverse")
-    _require_unimodular(a, "matrix")
+    _require_unimodular(det(a), "matrix")
     dec = smith_normal_form(a)
     # u @ a @ v == I, so a^{-1} = v @ u
     return matmul(dec.v, dec.u)

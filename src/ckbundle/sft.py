@@ -12,12 +12,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from itertools import islice, product
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, Iterator, NamedTuple
 
 from . import ck
+from .abelian import FgAbelianGroup
 from .intmat import IntMatrix, _echelon, _require_square, _require_unimodular, det, matmul
 from .intmat import matpow, trace
 
@@ -249,7 +250,7 @@ def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMa
     reproducible. Each word is its parent word times one generator, a column
     operation (its inverse a row operation). The walk is lazy: a caller that
     stops early builds no further word. conjugacy_search reads the same walk
-    from a cached ball instead."""
+    through _ball_words, which keeps it as a ball once it has run to its end."""
     for w, w_inv, _, _ in _walk(n, max_length):
         yield w, w_inv
 
@@ -275,19 +276,31 @@ class _Ball(NamedTuple):
             yield value
 
 
-# at most 8 balls per process: comparing 2x2 and 3x3 bundles at the default
-# depth needs two, and the largest ball any test builds, 6x6 at h = 2, holds
-# 2,462 words
-@lru_cache(maxsize=8)
-def _ball(n: int, h: int) -> _Ball:
-    """The walk of unimodular_words(n, h), collected once per (n, h)."""
+# at most 8 balls per process, the oldest dropped first: comparing 2x2 and
+# 3x3 bundles at the default depth needs two, and the largest ball any test
+# builds, 6x6 at h = 2, holds 2,462 words
+_balls: dict[tuple[int, int], _Ball] = {}
+
+
+def _ball_words(n: int, h: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
+    """The (word, inverse) pairs of unimodular_words(n, h), read from the
+    cached ball of shape (n, h). Without one they are walked lazily, and the
+    ball is cached only when the walk ends: a caller that stops at an early
+    hit builds no further word and caches nothing."""
+    ball = _balls.get((n, h))
+    if ball is not None:
+        yield from ball.words
+        return
     words, steps, lengths = [], [], []
     for w, w_inv, parent, move in _walk(n, h):
         words.append((w, w_inv))
         steps.append((parent, move))
         lengths.append(0 if move is None else lengths[parent] + 1)
+        yield w, w_inv
     index = {w: k for k, (w, _) in enumerate(words)}
-    return _Ball(
+    if len(_balls) == 8:
+        del _balls[next(iter(_balls))]
+    _balls[n, h] = _Ball(
         tuple(words),
         tuple(steps),
         tuple(index[w_inv] for _, w_inv in words),
@@ -315,15 +328,40 @@ class ConjugacyResult:
     obstruction: str | None = None
 
 
+class _Profile:
+    """A matrix and its conjugacy invariants, each computed on first use and
+    kept for the one call that made the profile."""
+
+    def __init__(self, a: IntMatrix):
+        self.matrix = a
+
+    @cached_property
+    def det(self) -> int:
+        return det(self.matrix)
+
+    @cached_property
+    def traces(self) -> list[int]:
+        """tr(a^k) for k = 1..n."""
+        return trace_sequence(self.matrix, self.matrix.rows)
+
+    @cached_property
+    def k0(self) -> FgAbelianGroup:
+        return ck.k0(self.matrix)
+
+
 def conjugacy_obstruction(a: IntMatrix, b: IntMatrix) -> str | None:
     """Definitive proof that a and b are not similar in GL_n(Z), or None."""
+    return _obstruction(_Profile(a), _Profile(b))
+
+
+def _obstruction(p: _Profile, q: _Profile) -> str | None:
     return _first_difference(
-        a,
-        b,
+        p,
+        q,
         [
-            ("determinants differ", det),
-            ("trace sequences differ", lambda m: trace_sequence(m, m.rows)),
-            ("K0 groups differ", ck.k0),
+            ("determinants differ", attrgetter("det")),
+            ("trace sequences differ", attrgetter("traces")),
+            ("K0 groups differ", attrgetter("k0")),
         ],
     )
 
@@ -345,22 +383,32 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     unsplit walk's first hit. When none meets, no word of length <=
     search_depth conjugates and the result is UNKNOWN.
 
-    The words of length <= h are walked once per process per (n, h) and
-    cached (_ball). Each conjugate x^{-1} @ m @ x, for m = a and m = b, comes
+    The words of length <= h are walked lazily on the first search of an
+    n x n shape at that h; a hit there returns before the rest are built, and
+    only a walk that ends without one is cached as the shape's ball
+    (_ball_words). Each conjugate x^{-1} @ m @ x, for m = a and m = b, comes
     from its parent word's by one column and one row operation, not from
     matrix products.
     """
+    return _search(_Profile(a), _Profile(b), search_depth)
+
+
+def _search(p: _Profile, q: _Profile, search_depth: int) -> ConjugacyResult:
+    """conjugacy_search on the matrices of p and q, reading their det, trace
+    sequences and K0 from the profiles."""
+    a, b = p.matrix, q.matrix
     if not (a.is_square and b.is_square) or a.shape != b.shape:
         raise ValueError(f"conjugacy needs equal square shapes, got {a.shape} and {b.shape}")
     _require_depth(search_depth)
-    _require_unimodular(a, "a"), _require_unimodular(b, "b")
-    obstruction = conjugacy_obstruction(a, b)
+    _require_unimodular(p.det, "a"), _require_unimodular(q.det, "b")
+    obstruction = _obstruction(p, q)
     if obstruction is not None:
         return ConjugacyResult(ConjugacyStatus.NOT_CONJUGATE, obstruction=obstruction)
-    ball = _ball(a.rows, (search_depth + 1) // 2)
-    for u, u_inv in ball.words:
+    n, h = a.rows, (search_depth + 1) // 2
+    for u, u_inv in _ball_words(n, h):
         if _conjugates(u, u_inv, a, b):
             return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
+    ball = _balls[n, h]  # cached by the walk that just ran to its end
     x_a = list(ball.conjugated(a, len(ball.words)))
     # w @ a @ w^{-1} is x^{-1} @ a @ x at x = w^{-1}; reversed, so that each
     # key keeps the first w in walk order

@@ -270,8 +270,8 @@ def _reference_verdict(b1, b2, search_depth):
 
 
 def test_compare_matches_the_full_ladder():
-    # the pruned ladder skips H1 when neither side is flipped; every verdict
-    # and witness must still be the full ladder's
+    # compare_bundles reads K0, H1 and det off one profile per side; every
+    # verdict and witness must be the full ladder's, computed independently
     rng = random.Random(58)
     flips, witnesses = Counter(), Counter()
     for _ in range(500):

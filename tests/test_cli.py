@@ -421,15 +421,13 @@ def test_cli_se_search_skips_search_when_obstructed(tmp_path, capsys, monkeypatc
     )
 
 
-@pytest.fixture
-def smith_calls(monkeypatch):
-    """The entry point, smith_normal_form or smith_diagonal, of every Smith
-    factorization in call order, counted wherever the entry point is bound."""
-    import ckbundle
+def _intmat_calls(monkeypatch, names):
+    """The name of every call to the intmat functions names, in call order,
+    counted wherever the function is bound."""
     from ckbundle import intmat
 
     log = []
-    for name in ("smith_normal_form", "smith_diagonal"):
+    for name in names:
         original = getattr(intmat, name)
 
         def counting(a, original=original, name=name):
@@ -440,6 +438,13 @@ def smith_calls(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     return log
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """The entry point, smith_normal_form or smith_diagonal, of every Smith
+    factorization in call order."""
+    return _intmat_calls(monkeypatch, ("smith_normal_form", "smith_diagonal"))
 
 
 # the inverse of the companion of t^3 - 3t^2 - 2t - 1: det 1, trace -2
@@ -466,12 +471,12 @@ def test_build_report_smith_calls(smith_calls, m, calls):
 @pytest.mark.parametrize(
     "a, b, calls",
     [
-        # neither side flipped: K0 on both sides, then K0 in the conjugacy
-        # obstruction; H1 would only repeat K0's diagonal
-        (A2, A2, 4),
+        # neither side flipped: K0 once per side; H1 and the conjugacy
+        # obstruction read the same diagonal
+        (A2, A2, 2),
         (A2, A3, 2),
-        # both flipped: K0 of -A and H1 of A differ, so both rungs run
-        (-A2, -A2, 6),
+        # both flipped: K0 of -A, then K0 of A for H1 and the obstruction
+        (-A2, -A2, 4),
         (-A2, -A3, 2),
         # one flipped: H1 only; then the H1 rung or the trace sequences differ
         (M_INV, IntMatrix([[0, 0, 1], [1, 0, 2], [0, 1, 3]]), 2),
@@ -479,8 +484,26 @@ def test_build_report_smith_calls(smith_calls, m, calls):
     ],
 )
 def test_compare_bundles_smith_calls(smith_calls, a, b, calls):
-    compare_bundles(make_bundle(a), make_bundle(b))
-    assert len(smith_calls) == calls
+    a, b = make_bundle(a), make_bundle(b)
+    # a second call factors again: no cache outlives a call
+    for _ in range(2):
+        smith_calls.clear()
+        compare_bundles(a, b)
+        assert len(smith_calls) == calls
+
+
+def test_each_determinant_is_taken_once_per_call(monkeypatch):
+    # compare_bundles checks both monodromies, walks its det rung and
+    # searches (the conjugacy search checks unimodularity and walks its own
+    # det rung) on one determinant per side; a second call computes it again
+    from ckbundle import conjugacy_obstruction, conjugacy_search
+
+    det_calls = _intmat_calls(monkeypatch, ("det",))
+    b = IntMatrix([[7, -4], [2, -1]])
+    for call in (compare_bundles, conjugacy_search, conjugacy_obstruction) * 2:
+        det_calls.clear()
+        call(A2, b)
+        assert len(det_calls) == 2
 
 
 def _equality_corpus():

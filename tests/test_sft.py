@@ -277,17 +277,26 @@ def test_unimodular_words_deduplicated():
                 assert deeper[: len(shallower)] == shallower
 
 
+def _ball(n, h):
+    """The cached ball of shape (n, h), walked whole first."""
+    from ckbundle import sft
+
+    for _ in sft._ball_words(n, h):
+        pass
+    return sft._balls[n, h]
+
+
 def test_ball_is_the_word_walk():
     # the cached ball is unimodular_words' walk with its bookkeeping: each
     # word's inverse, the length counts, and conjugates by parent moves
-    from ckbundle.sft import _ball
+    from ckbundle.sft import _ball_words
 
     rng = random.Random(50)
     for n in (1, 2, 3):
         for h in range(4):
             ball = _ball(n, h)
             words = list(unimodular_words(n, h))
-            assert list(ball.words) == words
+            assert list(ball.words) == words == list(_ball_words(n, h))
             for k, (w, w_inv) in enumerate(ball.words):
                 assert ball.words[ball.inverse[k]] == (w_inv, w)
             assert ball.counts == tuple(
@@ -300,7 +309,7 @@ def test_ball_is_the_word_walk():
 
 
 def test_ball_is_built_on_first_search(tmp_path):
-    code = "import ckbundle.sft as s; print(s._ball.cache_info().currsize)"
+    code = "import ckbundle.sft as s; print(len(s._balls))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -322,8 +331,8 @@ def test_conjugacy_search_reuses_the_ball(monkeypatch):
     rng = random.Random(48)
     a = random_unimodular(3, 6, rng)
     b = conjugate(a, random_unimodular(3, 24, rng))
-    products, columns = [], []
-    add_column = sft._add_column
+    products, columns, walks = [], [], []
+    add_column, walk = sft._add_column, sft._walk
 
     def counting_matmul(x, y):
         products.append(None)
@@ -333,14 +342,41 @@ def test_conjugacy_search_reuses_the_ball(monkeypatch):
         columns.append(None)
         return add_column(*args)
 
+    def counting_walk(*args):
+        walks.append(None)
+        return walk(*args)
+
     monkeypatch.setattr(sft, "matmul", counting_matmul)
     monkeypatch.setattr(sft, "_add_column", counting_column)
-    sft._ball.cache_clear()
+    monkeypatch.setattr(sft, "_walk", counting_walk)
+    monkeypatch.setattr(sft, "_balls", {})
     for expected_columns in (448, 266):
         products.clear(), columns.clear()
         assert conjugacy_search(a, b, search_depth=4).status is ConjugacyStatus.UNKNOWN
         assert (len(products), len(columns)) == (4, expected_columns)
-    assert sft._ball.cache_info().misses == 1
+    assert len(walks) == 1 and list(sft._balls) == [(3, 2)]
+
+
+def test_early_hit_builds_no_ball(monkeypatch):
+    # the first search of a shape walks lazily: the 12x12 Jordan block
+    # against itself meets at the identity, the first word, so it builds no
+    # further word and caches no ball (the whole ball took 70,490 column
+    # operations)
+    from ckbundle import sft
+
+    columns = []
+    add_column = sft._add_column
+
+    def counting_column(*args):
+        columns.append(None)
+        return add_column(*args)
+
+    monkeypatch.setattr(sft, "_add_column", counting_column)
+    monkeypatch.setattr(sft, "_balls", {})
+    jordan = IntMatrix([[int(j in (i, i + 1)) for j in range(12)] for i in range(12)])
+    verdict = compare_bundles(jordan, jordan)
+    assert (verdict.outcome, verdict.certificate) == (Outcome.HOMEOMORPHIC, IntMatrix.identity(12))
+    assert (len(columns), sft._balls) == (0, {})
 
 
 def test_conjugacy_search_self():
