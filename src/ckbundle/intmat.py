@@ -179,7 +179,7 @@ def matpow(a: IntMatrix, k: int) -> IntMatrix:
 def trace(a: IntMatrix) -> int:
     """Sum of the diagonal entries of a square matrix."""
     _require_square(a, "trace")
-    return sum(a[i, i] for i in range(a.rows))
+    return sum(map(operator.getitem, a.entries, range(a.rows)))
 
 
 def _echelon(m: list[list[int]]) -> tuple[list[int], int]:

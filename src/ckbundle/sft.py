@@ -77,9 +77,15 @@ def _intertwiners(a: IntMatrix, b: IntMatrix, bound: int) -> list[IntMatrix]:
     only its free entries range over [0, bound], and the pivot entries follow
     bottom-up by back-substitution, each exact and in [0, bound] or r fails."""
     rows, cols = a.rows, b.rows
+    a_rows, b_rows = a.entries, b.entries
     system = [
-        [a[i, p] * (q == j) - (p == i) * b[q, j] for p in range(rows) for q in range(cols)]
-        for i in range(rows) for j in range(cols)
+        [
+            a_rows[i][p] * (q == j) - (p == i) * b_rows[q][j]
+            for p in range(rows)
+            for q in range(cols)
+        ]
+        for i in range(rows)
+        for j in range(cols)
     ]
     pivots, _ = _echelon(system)
     free = [c for c in range(rows * cols) if c not in pivots]
@@ -90,21 +96,25 @@ def _intertwiners(a: IntMatrix, b: IntMatrix, bound: int) -> list[IntMatrix]:
             f" candidates (d = {len(free)} free entries, E = {bound}), more than the limit"
             f" {MAX_SE_CANDIDATES}; lower the entry bound"
         )
-    steps = [
-        (c, row[c], [(j, x) for j, x in enumerate(row) if x and j > c])
-        for c, row in reversed(list(zip(pivots, system)))
-    ]
+    # per pivot row, bottom-up: its column, its pivot, and the columns and
+    # negated coefficients of its later nonzero entries
+    steps = []
+    for c, row in reversed(list(zip(pivots, system))):
+        later = [j for j in range(c + 1, rows * cols) if row[j]]
+        steps.append((c, row[c], later, [-row[j] for j in later]))
     found, flat = [], [0] * (rows * cols)
+    entry = flat.__getitem__
     for values in product(range(bound + 1), repeat=len(free)):
         for c, x in zip(free, values):
             flat[c] = x
-        for c, pivot, terms in steps:
-            value, rem = divmod(-sum(x * flat[j] for j, x in terms), pivot)
+        for c, pivot, later, coeffs in steps:
+            value, rem = divmod(sum(map(mul, coeffs, map(entry, later))), pivot)
             if rem or not 0 <= value <= bound:
                 break
             flat[c] = value
         else:
-            found.append(IntMatrix([flat[i * cols : (i + 1) * cols] for i in range(rows)]))
+            entries = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
+            found.append(IntMatrix._wrap(entries))
     return sorted(found, key=lambda r: (sum(map(sum, r.entries)), r.entries))
 
 
@@ -115,21 +125,31 @@ def search_se_witness(
 
     Enumerates r with a@r = r@b and s with b@s = s@a over the entry box
     [0, entry_bound], lag ascending outermost, candidates by entry sum then
-    row-major order; returns the first verified witness or None. An empty
-    result is not a proof of non-equivalence (see se_obstruction for that).
+    row-major order; returns the first verified witness or None. Each lag
+    past the first costs one product for a^lag and one for b^lag; each pair's
+    r@s is compared with a^lag one row at a time, and s@r is formed only when
+    every row matched. An empty result is not a proof of non-equivalence (see
+    se_obstruction for that).
     Raises ValueError before enumerating when either side would have more
     than MAX_SE_CANDIDATES candidates.
     """
     _check_se_search(a, b, max_lag, entry_bound)
     rs = _intertwiners(a, b, entry_bound)
     ss = _intertwiners(b, a, entry_bound)
+    s_cols = [(s, tuple(zip(*s.entries))) for s in ss]
+    a_pow, b_pow = a, b
     for lag in range(1, max_lag + 1):
-        a_pow = matpow(a, lag)
-        b_pow = matpow(b, lag)
+        if lag > 1:
+            a_pow, b_pow = matmul(a_pow, a), matmul(b_pow, b)
+        want = [list(row) for row in a_pow.entries]
         for r in rs:
-            for s in ss:
-                if matmul(r, s) == a_pow and matmul(s, r) == b_pow:
-                    return SEWitness(r, s, lag)
+            for s, cols in s_cols:
+                for row, target in zip(r.entries, want):
+                    if [sum(map(mul, row, col)) for col in cols] != target:
+                        break
+                else:
+                    if matmul(s, r) == b_pow:
+                        return SEWitness(r, s, lag)
     return None
 
 

@@ -135,6 +135,43 @@ def test_search_se_witness_matches_enumeration_oracle():
     assert None in outcomes and 1 in outcomes
 
 
+@pytest.mark.parametrize(
+    "a, b, bound, expected",
+    [
+        # zero rows everywhere: r @ s = a^1 holds for r = s = 0
+        ([[0]], [[0]], 6, ([[0]], [[0]], 1)),
+        # nilpotent: r = N passes the row test only against s = I
+        ([[0, 1], [0, 0]], [[0, 1], [0, 0]], 1, ([[0, 1], [0, 0]], [[1, 0], [0, 1]], 1)),
+        # rectangular r and s: r @ s is 1x1, s @ r is 2x2
+        ([[2]], [[1, 1], [1, 1]], 2, ([[1, 1]], [[1], [1]], 1)),
+    ],
+)
+def test_search_se_witness_degenerate_pairs_match_oracle(a, b, bound, expected):
+    # the row-by-row test of r @ s must never skip the oracle's first witness
+    assert se_witness_by_enumeration(a, b, 3, bound) == expected
+    w = search_se_witness(IntMatrix(a), IntMatrix(b), max_lag=3, entry_bound=bound)
+    assert (w.r.to_lists(), w.s.to_lists(), w.lag) == expected
+
+
+def test_search_se_witness_work_is_bounded(monkeypatch):
+    # c3 against itself at the defaults: 343 intertwiners per side, r = 0
+    # first. The powers need no product at lag 1, and r @ s is compared with
+    # c3 row by row, so the one full product is the witness's s @ r
+    from ckbundle import sft
+
+    c3 = IntMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(sft, "matmul", counting)
+    w = search_se_witness(c3, c3)
+    assert len(calls) == 1
+    assert w is not None and verify_se_witness(c3, c3, w)
+
+
 def test_intertwiners_match_box_oracle_rectangular_and_equal():
     # independent a and b of different sizes, equal pairs, and degenerate
     # inputs (zero, identity) whose intertwiner space is the whole box
