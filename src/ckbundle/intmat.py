@@ -206,6 +206,21 @@ def _echelon(m: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
+def _back_substitute(m: list[list[int]], d: int, c: int) -> list[int]:
+    """y = d·x for the x with U x = (column c of m), bottom-up:
+    y_i = (d c_i - sum over j > i of U_ij y_j) // U_ii. Here m is a Bareiss
+    echelon of [a | e ...] for an n x n a, U its leading upper triangle and
+    d = m[n-1][n-1] = +-det a != 0. Then x = a^-1 e for the column e that
+    became column c, so y = +-adj(a) e is an integer vector and every
+    division is exact."""
+    n = len(m)
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        u = m[i]
+        y[i] = (d * u[c] - sum(map(operator.mul, u[i + 1 : n], y[i + 1 :]))) // u[i]
+    return y
+
+
 def det(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     _require_square(a, "det")
@@ -468,10 +483,7 @@ def _certified_diagonal(a: IntMatrix) -> tuple[int, ...] | None:
     if not d:
         return None
     for j in range(k):
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            u = m[i]
-            y[i] = (d * u[n + j] - sum(map(operator.mul, u[i + 1 : n], y[i + 1 :]))) // u[i]
+        y = _back_substitute(m, d, n + j)
         target = [0] * n
         target[n - 1 - j] = d
         if [sum(map(operator.mul, row, y)) for row in a.entries] != target:

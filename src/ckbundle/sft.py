@@ -13,14 +13,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import attrgetter, mul
 from typing import Callable, Iterator, NamedTuple
 
 from . import ck
 from .abelian import FgAbelianGroup
-from .intmat import IntMatrix, _echelon, _require_square, _require_unimodular, det, matmul
-from .intmat import matpow, trace
+from .intmat import IntMatrix, _back_substitute, _echelon, _require_square, _require_unimodular
+from .intmat import det, matmul, matpow, trace
 
 __all__ = [
     "SEWitness",
@@ -125,17 +125,25 @@ def search_se_witness(
 
     Enumerates r with a@r = r@b and s with b@s = s@a over the entry box
     [0, entry_bound], lag ascending outermost, candidates by entry sum then
-    row-major order; returns the first verified witness or None. Each lag
-    past the first costs one product for a^lag and one for b^lag; each pair's
-    r@s is compared with a^lag one row at a time, and s@r is formed only when
-    every row matched. An empty result is not a proof of non-equivalence (see
-    se_obstruction for that).
+    row-major order; returns the first verified witness or None. An empty
+    result is not a proof of non-equivalence (see se_obstruction for that).
+
+    For square a and b of one size with det a != 0, only the r side is
+    enumerated: r@s = a^lag forces r to be nonsingular, and s = r^-1 @ a^lag,
+    its one candidate, satisfies b@s = s@a and s@r = b^lag since
+    b = r^-1 @ a @ r (_solve_se_witness). Otherwise each pair's r@s is
+    compared with a^lag one row at a time, and s@r is formed only when every
+    row matched.
+
     Raises ValueError before enumerating when either side would have more
-    than MAX_SE_CANDIDATES candidates.
+    than MAX_SE_CANDIDATES candidates; for square a and b of one size the
+    two sides' systems have equal rank, so the r side decides.
     """
     _check_se_search(a, b, max_lag, entry_bound)
     rs = _intertwiners(a, b, entry_bound)
-    ss = _intertwiners(b, a, entry_bound)
+    if a.rows == b.rows and det(a):
+        return _solve_se_witness(a, rs, max_lag, entry_bound)
+    ss = rs if a == b else _intertwiners(b, a, entry_bound)
     s_cols = [(s, tuple(zip(*s.entries))) for s in ss]
     a_pow, b_pow = a, b
     for lag in range(1, max_lag + 1):
@@ -151,6 +159,54 @@ def search_se_witness(
                     if matmul(s, r) == b_pow:
                         return SEWitness(r, s, lag)
     return None
+
+
+def _solve_se_witness(
+    a: IntMatrix, rs: list[IntMatrix], max_lag: int, bound: int
+) -> SEWitness | None:
+    """Per lag, the first r of rs whose s = r^-1 @ a^lag is an integer
+    matrix in [0, bound]. Each r's d·r^-1 is made when the first lag reaches
+    r and kept; a lag then costs one product per r, cut at the first entry
+    of s that fails."""
+    solved: list[tuple[IntMatrix, int, tuple]] = []  # filled by the first lag
+    a_pow = a
+    for lag in range(1, max_lag + 1):
+        if lag > 1:
+            a_pow = matmul(a_pow, a)
+        cols = tuple(zip(*a_pow.entries))
+        for r, d, inv_rows in _nonsingular(rs, solved) if lag == 1 else solved:
+            s = _divide_in_box(inv_rows, cols, d, bound)
+            if s is not None:
+                return SEWitness(r, IntMatrix._wrap(s), lag)
+    return None
+
+
+def _nonsingular(rs: list[IntMatrix], solved: list) -> Iterator[tuple[IntMatrix, int, tuple]]:
+    """(r, d, rows of d·r^-1), d = +-det r, for each nonsingular r, each
+    also appended to solved: one Bareiss echelon of [r | I] per r."""
+    for r in rs:
+        n = r.rows
+        m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(r.entries)]
+        _echelon(m)
+        d = m[-1][n - 1]  # 0 when r is singular
+        if d:
+            solved.append((r, d, tuple(zip(*(_back_substitute(m, d, n + j) for j in range(n))))))
+            yield solved[-1]
+
+
+def _divide_in_box(rows: tuple, cols: tuple, d: int, bound: int) -> tuple | None:
+    """The rows of (rows @ cols^T) / d, or None at the first entry that is not
+    an integer in [0, bound]."""
+    out = []
+    for row in rows:
+        entries = []
+        for col in cols:
+            x, rem = divmod(sum(map(mul, row, col)), d)
+            if rem or not 0 <= x <= bound:
+                return None
+            entries.append(x)
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def _check_se_search(a: IntMatrix, b: IntMatrix, max_lag: int, entry_bound: int) -> None:
@@ -275,25 +331,40 @@ def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMa
         yield w, w_inv
 
 
+def _flat_move(n: int, move: _Move) -> tuple:
+    """(s, column pairs, s_inv, row pairs) for the move (i, j, s, s_inv) on a
+    flat row-major n x n tuple v: s times column i added to column j is
+    v[t] += s·v[u] for each column pair (t, u), and s_inv times row j added
+    to row i is v[t] += s_inv·v[u] for each row pair."""
+    i, j, s, s_inv = move
+    columns = tuple((r + j, r + i) for r in range(0, n * n, n))
+    return s, columns, s_inv, tuple((i * n + c, j * n + c) for c in range(n))
+
+
 class _Ball(NamedTuple):
     """The walk of unimodular_words(n, h) with its bookkeeping: the words of
     length <= h in GL_n(Z)'s elementary generators, in walk order."""
 
     words: tuple[tuple[IntMatrix, IntMatrix], ...]  # (word, inverse)
-    steps: tuple[tuple[int, _Move | None], ...]  # (parent index, move)
+    steps: tuple[tuple[int, tuple | None], ...]  # (parent index, _flat_move of its move)
     inverse: tuple[int, ...]  # the index of each word's inverse
     counts: tuple[int, ...]  # counts[k]: the number of words of length <= k
 
-    def conjugated(self, m: IntMatrix, count: int) -> Iterator[IntMatrix]:
-        """x^{-1} @ m @ x for the first count words x, lazily. For x = p @ g,
-        g the generator of x's move, it is g^{-1} @ (p^{-1} @ m @ p) @ g:
-        the parent's value after one column and one row operation."""
-        values = [m]
-        yield m
-        for parent, (i, j, s, s_inv) in islice(self.steps, 1, count):
-            value = _add_row(_add_column(values[parent], i, j, s), i, j, s_inv)
-            values.append(value)
-            yield value
+    def conjugated(self, m: IntMatrix, count: int) -> Iterator[tuple[int, ...]]:
+        """x^{-1} @ m @ x for the first count words x, lazily, each as a flat
+        row-major tuple. For x = p @ g, g the generator of x's move, it is
+        g^{-1} @ (p^{-1} @ m @ p) @ g: the parent's value after one column
+        and one row operation, made on a list copy of the parent's tuple."""
+        values = [tuple(chain.from_iterable(m.entries))]
+        yield values[0]
+        for parent, (s, columns, s_inv, rows) in islice(self.steps, 1, count):
+            v = list(values[parent])
+            for t, u in columns:
+                v[t] += s * v[u]
+            for t, u in rows:
+                v[t] += s_inv * v[u]
+            values.append(tuple(v))
+            yield values[-1]
 
 
 # at most 8 balls per process, the oldest dropped first: comparing 2x2 and
@@ -318,11 +389,12 @@ def _ball_words(n: int, h: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
         lengths.append(0 if move is None else lengths[parent] + 1)
         yield w, w_inv
     index = {w: k for k, (w, _) in enumerate(words)}
+    flat = {move: _flat_move(n, move) for move in _elementary_moves(n)}
     if len(_balls) == 8:
         del _balls[next(iter(_balls))]
     _balls[n, h] = _Ball(
         tuple(words),
-        tuple(steps),
+        tuple((parent, flat.get(move)) for parent, move in steps),
         tuple(index[w_inv] for _, w_inv in words),
         tuple(bisect_right(lengths, k) for k in range(h + 1)),
     )
@@ -406,9 +478,13 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     The words of length <= h are walked lazily on the first search of an
     n x n shape at that h; a hit there returns before the rest are built, and
     only a walk that ends without one is cached as the shape's ball
-    (_ball_words). Each conjugate x^{-1} @ m @ x, for m = a and m = b, comes
-    from its parent word's by one column and one row operation, not from
-    matrix products.
+    (_ball_words). The first-hit scan forms u @ a and b @ u only for a word
+    u whose fingerprint, one dot product of u's entries with coefficients
+    built once per search (_fingerprint), is zero, as it is for every
+    conjugator. Each conjugate x^{-1} @ m @ x, for m = a and m = b, is a
+    flat row-major tuple made from its parent word's by one column and one
+    row operation, not by matrix products; the meet compares these tuples,
+    and only a returned certificate is a matrix.
     """
     return _search(_Profile(a), _Profile(b), search_depth)
 
@@ -425,7 +501,10 @@ def _search(p: _Profile, q: _Profile, search_depth: int) -> ConjugacyResult:
     if obstruction is not None:
         return ConjugacyResult(ConjugacyStatus.NOT_CONJUGATE, obstruction=obstruction)
     n, h = a.rows, (search_depth + 1) // 2
+    coeffs = _fingerprint(a, b)
     for u, u_inv in _ball_words(n, h):
+        if sum(map(mul, chain.from_iterable(u.entries), coeffs)):
+            continue  # u @ a != b @ u
         if _conjugates(u, u_inv, a, b):
             return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
     ball = _balls[n, h]  # cached by the walk that just ran to its end
@@ -445,13 +524,21 @@ def _search(p: _Profile, q: _Profile, search_depth: int) -> ConjugacyResult:
     return ConjugacyResult(ConjugacyStatus.UNKNOWN)
 
 
+def _fingerprint(a: IntMatrix, b: IntMatrix) -> list[int]:
+    """Coefficients c, one per entry of an n x n word u in row-major order,
+    with sum(c_pq u_pq) = sum over i, j of (u @ a - b @ u)_ij * 2^(k (i n + j)),
+    k = 32: the fingerprint of u @ a - b @ u. It is linear in u, so c_pq is
+    a's row q packed at bits k n p, less b's column p packed at bits k q. It
+    is zero when u @ a = b @ u, and nonzero otherwise as long as every entry
+    of u @ a - b @ u is below 2^k in absolute value."""
+    n, k = a.rows, 32
+    rows_a = [sum(x << k * j for j, x in enumerate(row)) for row in a.entries]
+    cols_b = [sum(x << k * n * i for i, x in enumerate(col)) for col in zip(*b.entries)]
+    return [(rows_a[q] << k * n * p) - (cols_b[p] << k * q) for p in range(n) for q in range(n)]
+
+
 def _conjugates(u: IntMatrix, u_inv: IntMatrix, a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether u @ a = b @ u. The first entries of u @ a @ 1 and b @ u @ 1,
-    1 the all-ones vector, are compared first: a few dot products that rule
-    out most words without a full product."""
-    ua_1 = sum(map(mul, u.row(0), map(sum, a.entries)))
-    if ua_1 != sum(map(mul, b.row(0), map(sum, u.entries))):
-        return False
+    """Whether u @ a = b @ u, by full products."""
     ua = matmul(u, a)
     if ua != matmul(b, u):
         return False

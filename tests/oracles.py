@@ -167,7 +167,8 @@ def se_witness_by_enumeration(a, b, max_lag, bound):
             if matmul_lists(x, r) == matmul_lists(r, y)
         ]
 
-    rs, ss = intertwiners(a, b), intertwiners(b, a)
+    rs = intertwiners(a, b)
+    ss = rs if a == b else intertwiners(b, a)
     for lag in range(1, max_lag + 1):
         a_pow, b_pow = matpow_naive(a, lag), matpow_naive(b, lag)
         for r in rs:

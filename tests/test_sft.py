@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -106,14 +107,10 @@ def test_search_se_witness_conjugate_pair():
     assert w is not None and verify_se_witness(a, b, w)
 
 
-def test_search_se_witness_matches_enumeration_oracle():
-    # (RS, SR) pairs of every shape up to 3x3, every third one with SR
-    # replaced by an unrelated matrix; the oracle generates the box already
-    # in the documented order, the library sorts the survivors of a filter
-    from ckbundle.sft import _intertwiners
-
+def _rs_sr_pairs():
+    """(a, b, max_lag, bound): (RS, SR) pairs of every shape up to 3x3,
+    every third one with SR replaced by an unrelated matrix."""
     rng = random.Random(47)
-    outcomes = set()
     for i in range(90):
         m, k = rng.randint(1, 3), rng.randint(1, 3)
         bound = 2 if m * k <= 4 else 1
@@ -122,17 +119,57 @@ def test_search_se_witness_matches_enumeration_oracle():
         a, b = matmul(r, s), matmul(s, r)
         if i % 3 == 0:
             b = random_matrix(rng, k, k, 0, bound)
-        expected = se_witness_by_enumeration(a.to_lists(), b.to_lists(), 2, bound)
-        w = search_se_witness(a, b, max_lag=2, entry_bound=bound)
+        yield a, b, 2, bound
+
+
+def _solve_path_pairs():
+    """(a, b, max_lag, bound) with a square and nonsingular, n = 1..3,
+    E = 0..3 (0..1 at n = 3, where the oracle's box has 4^9 matrices at
+    E = 3), max_lag 1..3: an (RS, SR) pair with det RS != 0, a against
+    itself, against an unrelated matrix and against a det-0 matrix; then
+    pairs whose first witness has lag 2."""
+    rng = random.Random(53)
+    for n in (1, 2, 3):
+        for bound in range(4 if n < 3 else 2):
+            for max_lag in (1, 2, 3):
+                while True:
+                    r, s = (random_matrix(rng, n, n, 0, 2) for _ in range(2))
+                    a, b = matmul(r, s), matmul(s, r)
+                    if det(a):
+                        break
+                yield a, b, max_lag, bound
+                yield a, a, max_lag, bound
+                yield a, random_matrix(rng, n, n, 0, 3), max_lag, bound
+                singular = [*a.entries[:-1], a.entries[0]] if n > 1 else [[0]]
+                yield a, IntMatrix(singular), max_lag, bound
+    a = IntMatrix([[0, 1], [4, 0]])
+    for bound in (2, 3):
+        for b in (a, IntMatrix([[0, 4], [1, 0]])):
+            yield a, b, 3, bound
+    yield IntMatrix([[0, 1], [6, 0]]), IntMatrix([[0, 6], [1, 0]]), 2, 3
+
+
+def test_search_se_witness_matches_enumeration_oracle():
+    # the oracle generates the box already in the documented order, the
+    # library sorts the survivors of a filter; the second corpus runs the
+    # solve for s = r^-1 @ a^lag
+    from ckbundle.sft import _intertwiners
+
+    outcomes, solved = set(), set()
+    for a, b, max_lag, bound in [*_rs_sr_pairs(), *_solve_path_pairs()]:
+        expected = se_witness_by_enumeration(a.to_lists(), b.to_lists(), max_lag, bound)
+        w = search_se_witness(a, b, max_lag=max_lag, entry_bound=bound)
         got = None if w is None else (w.r.to_lists(), w.s.to_lists(), w.lag)
         assert got == expected
         outcomes.add(None if w is None else w.lag)
+        if a.shape == b.shape and det(a):
+            solved.add(None if w is None else w.lag)
         assert [x.to_lists() for x in _intertwiners(a, b, bound)] == [
             x
-            for x in bounded_matrices_by_sum(m, k, bound)
+            for x in bounded_matrices_by_sum(a.rows, b.rows, bound)
             if matmul(a, IntMatrix(x)) == matmul(IntMatrix(x), b)
         ]
-    assert None in outcomes and 1 in outcomes
+    assert outcomes == solved == {None, 1, 2}
 
 
 @pytest.mark.parametrize(
@@ -154,9 +191,10 @@ def test_search_se_witness_degenerate_pairs_match_oracle(a, b, bound, expected):
 
 
 def test_search_se_witness_work_is_bounded(monkeypatch):
-    # c3 against itself at the defaults: 343 intertwiners per side, r = 0
-    # first. The powers need no product at lag 1, and r @ s is compared with
-    # c3 row by row, so the one full product is the witness's s @ r
+    # c3 against itself at the defaults: det c3 = 2, so only the r side, 343
+    # intertwiners with r = 0 first, is enumerated. The powers need no
+    # product at lag 1, and each nonsingular r's s = r^-1 @ c3 is solved,
+    # not formed as a product, so no full product is made
     from ckbundle import sft
 
     c3 = IntMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
@@ -168,8 +206,48 @@ def test_search_se_witness_work_is_bounded(monkeypatch):
 
     monkeypatch.setattr(sft, "matmul", counting)
     w = search_se_witness(c3, c3)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert w is not None and verify_se_witness(c3, c3, w)
+
+
+def test_search_se_witness_self_pairs_enumerate_once(monkeypatch):
+    # the 4-cycle against itself at the defaults takes the solve path: one
+    # enumeration (7^4 circulants), and r = 0 is dropped by its echelon. Its
+    # witness, r = P^3 and s = P^2, lies in [0, 1]. Every r ordered before
+    # it at E = 6 is a circulant of entry sum at most 4, whose entries then
+    # lie in [0, 1] too, so the oracle's first witness at E = 1 is the one
+    # at E = 6. [[1,1],[1,1]] is singular and keeps the pair loop, whose s
+    # side is its r side, so it is enumerated once too
+    from ckbundle import sft
+
+    log = []
+    for name in ("_intertwiners", "matmul"):
+        def counting(*args, _name=name, _f=getattr(sft, name)):
+            log.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(sft, name, counting)
+    p4 = [[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)]
+    w = search_se_witness(IntMatrix(p4), IntMatrix(p4))
+    assert log == ["_intertwiners"]
+    assert (w.r.to_lists(), w.s.to_lists(), w.lag) == se_witness_by_enumeration(p4, p4, 3, 1)
+    log.clear()
+    ones = [[1, 1], [1, 1]]
+    w = search_se_witness(IntMatrix(ones), IntMatrix(ones), entry_bound=2)
+    assert log.count("_intertwiners") == 1
+    assert (w.r.to_lists(), w.s.to_lists(), w.lag) == se_witness_by_enumeration(ones, ones, 3, 2)
+
+
+def test_search_se_witness_solve_path_keeps_the_cap():
+    # 2I_3 is nonsingular, so only its r side is enumerated, but every 3x3
+    # matrix commutes with it: d = 9 on both sides, and 7^9 is refused
+    two = IntMatrix.diagonal([2, 2, 2])
+    with pytest.raises(ValueError) as refused:
+        search_se_witness(two, two, entry_bound=6)
+    assert str(refused.value) == (
+        "shift-equivalence search would try (E+1)^d = 7^9 = 40353607 candidates"
+        " (d = 9 free entries, E = 6), more than the limit 117649; lower the entry bound"
+    )
 
 
 def test_intertwiners_match_box_oracle_rectangular_and_equal():
@@ -341,7 +419,10 @@ def test_ball_is_the_word_walk():
             )
             m = random_matrix(rng, n, n, -5, 5)
             conjugated = list(ball.conjugated(m, len(words)))
-            assert conjugated == [matmul(matmul(x_inv, m), x) for x, x_inv in words]
+            assert conjugated == [
+                tuple(chain.from_iterable(matmul(matmul(x_inv, m), x).entries))
+                for x, x_inv in words
+            ]
     assert len(_ball(6, 2).words) == 2462
 
 
@@ -362,7 +443,8 @@ def test_conjugacy_search_reuses_the_ball(monkeypatch):
     # the UNKNOWN pair of test_conjugacy_search_unknown_work_is_bounded at
     # D = 4: the ball of 134 words is walked once, with 182 column
     # operations; each search then conjugates a and b along the ball's 133
-    # moves, and its only products are the 4 trace-sequence powers
+    # moves on flat tuples, with no column operation on a matrix, and its
+    # only products are the 4 trace-sequence powers
     from ckbundle import sft
 
     rng = random.Random(48)
@@ -387,7 +469,7 @@ def test_conjugacy_search_reuses_the_ball(monkeypatch):
     monkeypatch.setattr(sft, "_add_column", counting_column)
     monkeypatch.setattr(sft, "_walk", counting_walk)
     monkeypatch.setattr(sft, "_balls", {})
-    for expected_columns in (448, 266):
+    for expected_columns in (182, 0):
         products.clear(), columns.clear()
         assert conjugacy_search(a, b, search_depth=4).status is ConjugacyStatus.UNKNOWN
         assert (len(products), len(columns)) == (4, expected_columns)
@@ -482,6 +564,26 @@ def test_conjugacy_search_matches_word_oracle():
     assert len(statuses) >= 500
     assert set(statuses) == set(ConjugacyStatus)
     assert deep_hits >= 20  # hits that only the meet reaches
+
+
+def test_fingerprint_keeps_the_first_hit():
+    # the first-hit scan fully tests only the words u whose fingerprint of
+    # u @ a - b @ u is zero; it must still return the first u of a plain walk
+    # with u @ a = b @ u, also for entries far beyond the fingerprint's 32
+    # bits per entry
+    rng = random.Random(55)
+    pairs = []
+    for n in (2, 3):
+        for _ in range(25):
+            a = random_unimodular(n, rng.randint(1, 40), rng)
+            h = rng.randint(0, 2)
+            pairs.append((a, conjugate(a, random_unimodular(n, rng.randint(0, h), rng)), h))
+    big = IntMatrix([[1, 2**40], [3, 3 * 2**40 + 1]])
+    pairs += [(big, conjugate(big, u), 2) for u, _ in unimodular_words(2, 2)]
+    for a, b, h in pairs:
+        expected = conjugator_by_words(a.to_lists(), b.to_lists(), h)
+        result = conjugacy_search(a, b, search_depth=2 * h)
+        assert result.conjugator.to_lists() == expected
 
 
 def test_conjugacy_search_unknown_work_is_bounded(monkeypatch):
