@@ -7,9 +7,8 @@ so two values are isomorphic exactly when they compare equal.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
-from .intmat import IntMatrix, smith_diagonal
+from .intmat import IntMatrix, _Record, smith_diagonal
 
 __all__ = [
     "FgAbelianGroup",
@@ -19,20 +18,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(_Record):
     """Z^free_rank + Z_{d_1} + ... + Z_{d_k} with 2 <= d_1 | d_2 | ... | d_k.
 
     Factors of 1 are never stored and zeros live in the free rank, so the
     field tuple is a complete isomorphism invariant.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        rank = operator.index(self.free_rank)
-        factors = tuple(operator.index(f) for f in self.invariant_factors)
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...] = ()):
+        rank = operator.index(free_rank)
+        factors = tuple(operator.index(f) for f in invariant_factors)
         if rank < 0:
             raise ValueError("free rank must be nonnegative")
         for f in factors:

@@ -17,6 +17,7 @@ from .intmat import (
     IntMatrix,
     IntPolynomial,
     NotUnimodular,
+    _Record,
     _require_square,
     _require_unimodular,
     charpoly,
@@ -41,13 +42,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NormalizedMonodromy:
+class NormalizedMonodromy(_Record):
     """Monodromy with trace made nonnegative; flipped records whether a
     global sign change was applied."""
 
-    matrix: IntMatrix
-    flipped: bool
+    __slots__ = ("matrix", "flipped")
+
+    def __init__(self, matrix: IntMatrix, flipped: bool):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "flipped", flipped)
 
 
 def make_bundle(a: IntMatrix) -> IntMatrix:
@@ -105,14 +108,16 @@ def alexander_polynomial(a: IntMatrix) -> IntPolynomial:
     return charpoly(a)
 
 
-@dataclass(frozen=True)
-class CKFunctorImage:
+class CKFunctorImage(_Record):
     """K-theory of the algebra assigned to the bundle, evaluated on the
     normalized monodromy."""
 
-    normalized: NormalizedMonodromy
-    k0: FgAbelianGroup
-    k1: FgAbelianGroup
+    __slots__ = ("normalized", "k0", "k1")
+
+    def __init__(self, normalized: NormalizedMonodromy, k0: FgAbelianGroup, k1: FgAbelianGroup):
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k1", k1)
 
 
 def ck_functor(a: IntMatrix) -> CKFunctorImage:

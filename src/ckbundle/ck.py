@@ -55,11 +55,11 @@ def make_descriptor(a: IntMatrix) -> IntMatrix:
     if not a.is_square:
         raise ValueError(f"descriptor matrix must be square, got {a.shape}")
     _require_nonnegative(a, "make_descriptor")
-    for i in range(a.rows):
-        if all(x == 0 for x in a.row(i)):
+    for i, row in enumerate(a.entries):
+        if not any(row):
             raise DegenerateRelations(f"row {i} is zero")
-    for j in range(a.cols):
-        if all(x == 0 for x in a.column(j)):
+    for j, column in enumerate(zip(*a.entries)):
+        if not any(column):
             raise DegenerateRelations(f"column {j} is zero")
     return a
 

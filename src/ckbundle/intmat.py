@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -31,6 +30,46 @@ __all__ = [
 
 class NotUnimodular(ValueError):
     """Raised when a matrix required to have determinant +/-1 does not."""
+
+
+class _Record:
+    """Base of the immutable value records: a subclass names its fields in
+    __slots__, in constructor order, and its __init__ stores each with
+    object.__setattr__. Equality (same class only), hashing and repr go by
+    the field tuple, as for a frozen dataclass; creating a subclass needs
+    no generated code, so importing the library stays cheap."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = names = cls.__slots__
+        # the field tuple; attrgetter of one name returns the bare value
+        get = operator.attrgetter(*names)
+        cls._fields = property(get if len(names) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: the default protocol
+        # would restore the slots with the __setattr__ that refuses them
+        return type(self), self._fields
 
 
 class IntMatrix:
@@ -121,7 +160,7 @@ class IntMatrix:
 
     @property
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for row in self._data for x in row)
+        return min(map(min, self._data)) >= 0
 
     @property
     def is_zero(self) -> bool:
@@ -229,15 +268,14 @@ def det(a: IntMatrix) -> int:
     return sign * m[-1][-1] if len(pivots) == a.rows else 0
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Record):
     """Integer polynomial stored as ascending coefficients, trailing zeros
     trimmed; the zero polynomial has an empty coefficient tuple."""
 
-    coefficients: tuple[int, ...] = ()
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(operator.index(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[int, ...] = ()):
+        coeffs = tuple(operator.index(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -302,14 +340,16 @@ def charpoly(a: IntMatrix) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(coeffs)))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Record):
     """Triple (u, d, v) with u @ a @ v == d, u and v unimodular, and d
     diagonal with nonnegative entries in a divisor chain (zeros last)."""
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    __slots__ = ("u", "d", "v")
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "v", v)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d[i, i] for i in range(min(self.d.rows, self.d.cols)))

@@ -10,7 +10,6 @@ definitive.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, product
@@ -20,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 from . import ck
 from .abelian import FgAbelianGroup
 from .intmat import IntMatrix, _back_substitute, _echelon, _require_square, _require_unimodular
-from .intmat import det, matmul, matpow, trace
+from .intmat import _Record, det, matmul, matpow, trace
 
 __all__ = [
     "SEWitness",
@@ -42,14 +41,16 @@ __all__ = [
 MAX_SE_CANDIDATES = 7**6
 
 
-@dataclass(frozen=True)
-class SEWitness:
+class SEWitness(_Record):
     """Candidate shift-equivalence data (r, s, lag); validity is checked by
     verify_se_witness, not at construction."""
 
-    r: IntMatrix
-    s: IntMatrix
-    lag: int
+    __slots__ = ("r", "s", "lag")
+
+    def __init__(self, r: IntMatrix, s: IntMatrix, lag: int):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "lag", lag)
 
 
 def verify_se_witness(a: IntMatrix, b: IntMatrix, w: SEWitness) -> bool:
@@ -406,8 +407,7 @@ class ConjugacyStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ConjugacyResult:
+class ConjugacyResult(_Record):
     """Outcome of a bounded GL_n(Z) conjugacy search.
 
     CONJUGATE carries a certificate; NOT_CONJUGATE carries a definitive
@@ -415,9 +415,17 @@ class ConjugacyResult:
     without either.
     """
 
-    status: ConjugacyStatus
-    conjugator: IntMatrix | None = None
-    obstruction: str | None = None
+    __slots__ = ("status", "conjugator", "obstruction")
+
+    def __init__(
+        self,
+        status: ConjugacyStatus,
+        conjugator: IntMatrix | None = None,
+        obstruction: str | None = None,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "conjugator", conjugator)
+        object.__setattr__(self, "obstruction", obstruction)
 
 
 class _Profile:

@@ -51,6 +51,29 @@ def test_make_descriptor():
         make_descriptor(IntMatrix([[1, 1, 1], [1, 1, 1]]))
 
 
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        # the shape is checked first, even with negative entries and zero lines
+        ([[-1, 0, 0], [0, 0, 0]], ValueError, "descriptor matrix must be square, got (2, 3)"),
+        # negative entries come before any zero line
+        ([[0, 0], [-1, 1]], NotNonnegative, "make_descriptor requires nonnegative entries"),
+        ([[1, 0], [0, -1]], NotNonnegative, "make_descriptor requires nonnegative entries"),
+        # a zero row is named before a zero column, and the first of each
+        ([[0, 0], [1, 0]], DegenerateRelations, "row 0 is zero"),
+        ([[1, 0, 1], [0, 0, 0], [0, 0, 0]], DegenerateRelations, "row 1 is zero"),
+        ([[0, 1, 0], [0, 1, 0], [0, 1, 0]], DegenerateRelations, "column 0 is zero"),
+        ([[1, 0, 0], [1, 0, 0], [1, 0, 1]], DegenerateRelations, "column 1 is zero"),
+        ([[0]], DegenerateRelations, "row 0 is zero"),
+    ],
+)
+def test_make_descriptor_diagnostics(rows, error, message):
+    with pytest.raises(ValueError) as caught:
+        make_descriptor(IntMatrix(rows))
+    assert caught.type is error
+    assert str(caught.value) == message
+
+
 def test_k0_examples():
     assert k0(a1(2)) == FgAbelianGroup(1, (2,))
     assert k0(A2) == FgAbelianGroup(0, (2, 2))

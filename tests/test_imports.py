@@ -1,5 +1,6 @@
 """Every name a ckbundle module imports is used there or exported through
-its __all__: a stdlib stand-in for a linter's unused-import rule."""
+its __all__: a stdlib stand-in for a linter's unused-import rule. Only the
+modules in DATACLASS_MODULES import dataclasses."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,29 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == set()
+
+
+# Creating a dataclass generates and compiles its methods at import time, a
+# cost every fresh import pays; the value records subclass intmat._Record.
+DATACLASS_MODULES = {"bundle.py", "cli.py"}
+
+
+def imported_modules(source: str) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_imported_modules_are_found():
+    source = "import dataclasses as dc\nfrom os.path import join\nfrom . import ck\n"
+    assert imported_modules(source) == {"dataclasses", "os"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_dataclasses_only_where_allowed(path):
+    if path.name not in DATACLASS_MODULES:
+        assert "dataclasses" not in imported_modules(path.read_text())

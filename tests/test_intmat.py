@@ -58,6 +58,15 @@ def test_eq_with_non_matrix_and_repr():
     assert repr(m) == "IntMatrix([[1, 2]])"
 
 
+def test_is_nonnegative_scans_every_entry():
+    assert IntMatrix([[0]]).is_nonnegative
+    assert IntMatrix([[0, 3], [2**70, 0]]).is_nonnegative
+    for i, j in product(range(2), range(3)):
+        rows = [[1, 0, 2], [0, 5, 1]]
+        rows[i][j] = -(2**70) if (i + j) % 2 else -1
+        assert not IntMatrix(rows).is_nonnegative
+
+
 def test_matmul_identity():
     assert matmul(IntMatrix.identity(2), A2) == A2
 
