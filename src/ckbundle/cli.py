@@ -111,11 +111,14 @@ class InvariantReport:
     theorem1_check: bool | None
 
     def to_dict(self) -> dict:
-        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
+        return {name: _to_json(getattr(self, name)) for name in _REPORT_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "InvariantReport":
-        return cls(**{f.name: _from_json(d[f.name]) for f in fields(cls)})
+        return cls(**{name: _from_json(d[name]) for name in _REPORT_FIELDS})
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(InvariantReport))  # in declaration order
 
 
 def _to_json(value):
@@ -190,13 +193,13 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
 
 def _render_report_text(r: InvariantReport) -> str:
     lines = []
-    for f in fields(r):
-        value = getattr(r, f.name)
+    for name in _REPORT_FIELDS:
+        value = getattr(r, name)
         if value is None:
             value = "-"
         elif isinstance(value, IntMatrix):
             value = value.to_lists()
-        lines.append(f"{f.name + ':':<16}{value}")
+        lines.append(f"{name + ':':<16}{value}")
     return "\n".join(lines)
 
 

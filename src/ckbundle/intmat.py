@@ -160,7 +160,7 @@ class IntMatrix:
 
     @property
     def is_nonnegative(self) -> bool:
-        return min(map(min, self._data)) >= 0
+        return all(min(row) >= 0 for row in self._data)
 
     @property
     def is_zero(self) -> bool:

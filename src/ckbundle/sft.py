@@ -262,29 +262,36 @@ def trace_sequence(a: IntMatrix, m: int) -> list[int]:
     return out
 
 
-_Move = tuple[int, int, int, int]
+_Move = tuple[int, tuple[tuple[int, int], ...], int, tuple[tuple[int, int], ...]]
 
 
 def _elementary_moves(n: int) -> list[_Move]:
-    """(i, j, s, s_inv) per elementary generator of GL_n(Z), in a fixed
-    order: transvections E_ij(+1), E_ij(-1) by row-major (i, j), then the
-    sign flip diag(-1, 1, ..., 1). The generator is I + s·e_ij and its
-    inverse I + s_inv·e_ij; the sign flip is I - 2·e_00, its own inverse."""
-    moves = [(i, j, s, -s) for i in range(n) for j in range(n) if i != j for s in (1, -1)]
-    moves.append((0, 0, -2, -2))
+    """(s, column pairs, s_inv, row pairs) per elementary generator of
+    GL_n(Z) in a fixed order: transvections E_ij(+1), E_ij(-1) by row-major
+    (i, j), then the sign flip diag(-1, 1, ..., 1). The generator g is
+    I + s·e_ij and g^{-1} is I + s_inv·e_ij (the sign flip, I - 2·e_00, is its
+    own inverse). On flat row-major words, w @ g adds s times column i to
+    column j, and g^{-1} @ w^{-1} adds s_inv times row j to row i (_apply)."""
+    generators = [(i, j, s, -s) for i in range(n) for j in range(n) if i != j for s in (1, -1)]
+    moves = []
+    for i, j, s, s_inv in [*generators, (0, 0, -2, -2)]:
+        columns = tuple((r + j, r + i) for r in range(0, n * n, n))
+        moves.append((s, columns, s_inv, tuple((i * n + c, j * n + c) for c in range(n))))
     return moves
 
 
-def _add_column(m: IntMatrix, i: int, j: int, s: int) -> IntMatrix:
-    """m @ (I + s·e_ij): s times column i added to column j."""
-    return IntMatrix._wrap(tuple(r[:j] + (r[j] + s * r[i],) + r[j + 1 :] for r in m.entries))
+def _apply(v: tuple[int, ...], s: int, pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """v with s·v[u] added to v[t] for each pair (t, u) in order, as a new
+    tuple: one half of a move of _elementary_moves on a flat row-major word."""
+    v = list(v)
+    for t, u in pairs:
+        v[t] += s * v[u]
+    return tuple(v)
 
 
-def _add_row(m: IntMatrix, i: int, j: int, s: int) -> IntMatrix:
-    """(I + s·e_ij) @ m: s times row j added to row i."""
-    rows = m.entries
-    new_row = tuple([x + s * y for x, y in zip(rows[i], rows[j])])
-    return IntMatrix._wrap(rows[:i] + (new_row,) + rows[i + 1 :])
+def _matrix(v: tuple[int, ...], n: int) -> IntMatrix:
+    """The n x n matrix whose row-major entries are v."""
+    return IntMatrix._wrap(tuple(v[r : r + n] for r in range(0, n * n, n)))
 
 
 def _require_depth(depth: int) -> None:
@@ -292,14 +299,15 @@ def _require_depth(depth: int) -> None:
         raise ValueError(f"search depth must be >= 0, got {depth}")
 
 
-def _walk(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix, int, _Move | None]]:
+def _walk(n: int, max_length: int) -> Iterator[tuple[tuple, tuple, int, _Move | None]]:
     """(word, inverse, parent index, move) for every product of at most
     max_length elementary generators, deduplicated, breadth first from the
-    identity (parent -1, move None). A word w extended by the generator g of
-    a move is w @ g, a column operation on w, with inverse g^{-1} @ w^{-1}, a
-    row operation; its parent is w's index in this walk."""
+    identity (parent -1, move None), each word and inverse a flat row-major
+    tuple. A word w extended by the generator g of a move is w @ g, the
+    move's column pairs applied to w, with inverse g^{-1} @ w^{-1}, its row
+    pairs applied to w^{-1}; its parent is w's index in this walk."""
     _require_depth(max_length)
-    ident = IntMatrix.identity(n)
+    ident = tuple(chain.from_iterable(IntMatrix.identity(n).entries))  # raises for n < 1
     yield ident, ident, -1, None
     seen = {ident}
     frontier = [(0, ident, ident)]
@@ -308,11 +316,11 @@ def _walk(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix, int, 
         nxt = []
         for parent, w, w_inv in frontier:
             for move in moves:
-                i, j, s, s_inv = move
-                m = _add_column(w, i, j, s)
+                s, columns, s_inv, rows = move
+                m = _apply(w, s, columns)
                 if m not in seen:
                     seen.add(m)
-                    m_inv = _add_row(w_inv, i, j, s_inv)
+                    m_inv = _apply(w_inv, s_inv, rows)
                     nxt.append((len(seen) - 1, m, m_inv))  # m's index in the walk
                     yield m, m_inv, parent, move
         if not nxt:
@@ -329,42 +337,28 @@ def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMa
     stops early builds no further word. conjugacy_search reads the same walk
     through _ball_words, which keeps it as a ball once it has run to its end."""
     for w, w_inv, _, _ in _walk(n, max_length):
-        yield w, w_inv
-
-
-def _flat_move(n: int, move: _Move) -> tuple:
-    """(s, column pairs, s_inv, row pairs) for the move (i, j, s, s_inv) on a
-    flat row-major n x n tuple v: s times column i added to column j is
-    v[t] += s·v[u] for each column pair (t, u), and s_inv times row j added
-    to row i is v[t] += s_inv·v[u] for each row pair."""
-    i, j, s, s_inv = move
-    columns = tuple((r + j, r + i) for r in range(0, n * n, n))
-    return s, columns, s_inv, tuple((i * n + c, j * n + c) for c in range(n))
+        yield _matrix(w, n), _matrix(w_inv, n)
 
 
 class _Ball(NamedTuple):
     """The walk of unimodular_words(n, h) with its bookkeeping: the words of
-    length <= h in GL_n(Z)'s elementary generators, in walk order."""
+    length <= h in GL_n(Z)'s elementary generators, in walk order, as flat
+    row-major tuples."""
 
-    words: tuple[tuple[IntMatrix, IntMatrix], ...]  # (word, inverse)
-    steps: tuple[tuple[int, tuple | None], ...]  # (parent index, _flat_move of its move)
+    words: tuple[tuple[tuple, tuple], ...]  # (word, inverse)
+    steps: tuple[tuple[int, _Move | None], ...]  # (parent index, move)
     inverse: tuple[int, ...]  # the index of each word's inverse
     counts: tuple[int, ...]  # counts[k]: the number of words of length <= k
 
     def conjugated(self, m: IntMatrix, count: int) -> Iterator[tuple[int, ...]]:
         """x^{-1} @ m @ x for the first count words x, lazily, each as a flat
         row-major tuple. For x = p @ g, g the generator of x's move, it is
-        g^{-1} @ (p^{-1} @ m @ p) @ g: the parent's value after one column
-        and one row operation, made on a list copy of the parent's tuple."""
+        g^{-1} @ (p^{-1} @ m @ p) @ g: the parent's value after the move's
+        column and row operations."""
         values = [tuple(chain.from_iterable(m.entries))]
         yield values[0]
         for parent, (s, columns, s_inv, rows) in islice(self.steps, 1, count):
-            v = list(values[parent])
-            for t, u in columns:
-                v[t] += s * v[u]
-            for t, u in rows:
-                v[t] += s_inv * v[u]
-            values.append(tuple(v))
+            values.append(_apply(_apply(values[parent], s, columns), s_inv, rows))
             yield values[-1]
 
 
@@ -374,11 +368,11 @@ class _Ball(NamedTuple):
 _balls: dict[tuple[int, int], _Ball] = {}
 
 
-def _ball_words(n: int, h: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
-    """The (word, inverse) pairs of unimodular_words(n, h), read from the
-    cached ball of shape (n, h). Without one they are walked lazily, and the
-    ball is cached only when the walk ends: a caller that stops at an early
-    hit builds no further word and caches nothing."""
+def _ball_words(n: int, h: int) -> Iterator[tuple[tuple, tuple]]:
+    """The flat (word, inverse) pairs of _walk(n, h), read from the cached
+    ball of shape (n, h). Without one they are walked lazily, and the ball is
+    cached only when the walk ends: a caller that stops at an early hit
+    builds no further word and caches nothing."""
     ball = _balls.get((n, h))
     if ball is not None:
         yield from ball.words
@@ -390,12 +384,11 @@ def _ball_words(n: int, h: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
         lengths.append(0 if move is None else lengths[parent] + 1)
         yield w, w_inv
     index = {w: k for k, (w, _) in enumerate(words)}
-    flat = {move: _flat_move(n, move) for move in _elementary_moves(n)}
     if len(_balls) == 8:
         del _balls[next(iter(_balls))]
     _balls[n, h] = _Ball(
         tuple(words),
-        tuple((parent, flat.get(move)) for parent, move in steps),
+        tuple(steps),
         tuple(index[w_inv] for _, w_inv in words),
         tuple(bisect_right(lengths, k) for k in range(h + 1)),
     )
@@ -486,13 +479,13 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     The words of length <= h are walked lazily on the first search of an
     n x n shape at that h; a hit there returns before the rest are built, and
     only a walk that ends without one is cached as the shape's ball
-    (_ball_words). The first-hit scan forms u @ a and b @ u only for a word
-    u whose fingerprint, one dot product of u's entries with coefficients
-    built once per search (_fingerprint), is zero, as it is for every
-    conjugator. Each conjugate x^{-1} @ m @ x, for m = a and m = b, is a
-    flat row-major tuple made from its parent word's by one column and one
-    row operation, not by matrix products; the meet compares these tuples,
-    and only a returned certificate is a matrix.
+    (_ball_words). Words, their inverses and the conjugates x^{-1} @ m @ x
+    (m = a, b) are flat row-major tuples, each its parent's after one move
+    (_apply), and the meet compares these tuples. The first-hit scan tests a
+    word u in full only when its fingerprint, a dot product of u with
+    coefficients built once per search (_fingerprint), is zero, as it is for
+    every conjugator. A word becomes an IntMatrix only for that full test or
+    a certificate.
     """
     return _search(_Profile(a), _Profile(b), search_depth)
 
@@ -511,9 +504,10 @@ def _search(p: _Profile, q: _Profile, search_depth: int) -> ConjugacyResult:
     n, h = a.rows, (search_depth + 1) // 2
     coeffs = _fingerprint(a, b)
     for u, u_inv in _ball_words(n, h):
-        if sum(map(mul, chain.from_iterable(u.entries), coeffs)):
+        if sum(map(mul, u, coeffs)):
             continue  # u @ a != b @ u
-        if _conjugates(u, u_inv, a, b):
+        u = _matrix(u, n)
+        if _conjugates(u, _matrix(u_inv, n), a, b):
             return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
     ball = _balls[n, h]  # cached by the walk that just ran to its end
     x_a = list(ball.conjugated(a, len(ball.words)))
@@ -526,7 +520,8 @@ def _search(p: _Profile, q: _Profile, search_depth: int) -> ConjugacyResult:
         met = near_a.get(x_b)
         if met is not None:
             w, w_inv = met
-            u, u_inv = matmul(v, w), matmul(w_inv, v_inv)
+            u = matmul(_matrix(v, n), _matrix(w, n))
+            u_inv = matmul(_matrix(w_inv, n), _matrix(v_inv, n))
             if _conjugates(u, u_inv, a, b):
                 return ConjugacyResult(ConjugacyStatus.CONJUGATE, conjugator=u)
     return ConjugacyResult(ConjugacyStatus.UNKNOWN)

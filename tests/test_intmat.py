@@ -65,6 +65,14 @@ def test_is_nonnegative_scans_every_entry():
         rows = [[1, 0, 2], [0, 5, 1]]
         rows[i][j] = -(2**70) if (i + j) % 2 else -1
         assert not IntMatrix(rows).is_nonnegative
+    # the scan stops at the first row with a negative entry, so a lone one in
+    # the last row or column must still be found; a zero matrix is nonnegative
+    for n in (1, 4, 32):
+        assert IntMatrix.zero(n, n).is_nonnegative
+        for i, j in [(n - 1, c) for c in range(n)] + [(r, n - 1) for r in range(n)]:
+            rows = [[2**70 if (r + c) % 2 else 1 for c in range(n)] for r in range(n)]
+            rows[i][j] = -1
+            assert not IntMatrix(rows).is_nonnegative
 
 
 def test_matmul_identity():

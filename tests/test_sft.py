@@ -45,6 +45,7 @@ from conftest import (
 from oracles import (
     bounded_matrices_by_sum,
     conjugator_by_words,
+    elementary_generators,
     matpow_naive,
     se_witness_by_enumeration,
     words_by_bfs,
@@ -404,14 +405,15 @@ def _ball(n, h):
 def test_ball_is_the_word_walk():
     # the cached ball is unimodular_words' walk with its bookkeeping: each
     # word's inverse, the length counts, and conjugates by parent moves
-    from ckbundle.sft import _ball_words
+    from ckbundle.sft import _ball_words, _matrix
 
     rng = random.Random(50)
     for n in (1, 2, 3):
         for h in range(4):
             ball = _ball(n, h)
             words = list(unimodular_words(n, h))
-            assert list(ball.words) == words == list(_ball_words(n, h))
+            assert list(ball.words) == list(_ball_words(n, h))
+            assert [(_matrix(w, n), _matrix(w_inv, n)) for w, w_inv in ball.words] == words
             for k, (w, w_inv) in enumerate(ball.words):
                 assert ball.words[ball.inverse[k]] == (w_inv, w)
             assert ball.counts == tuple(
@@ -441,61 +443,83 @@ def test_ball_is_built_on_first_search(tmp_path):
 
 def test_conjugacy_search_reuses_the_ball(monkeypatch):
     # the UNKNOWN pair of test_conjugacy_search_unknown_work_is_bounded at
-    # D = 4: the ball of 134 words is walked once, with 182 column
-    # operations; each search then conjugates a and b along the ball's 133
-    # moves on flat tuples, with no column operation on a matrix, and its
-    # only products are the 4 trace-sequence powers
+    # D = 4: the ball of 134 words is walked once, with 182 column and 133
+    # row operations; each search then conjugates a and b along the ball's
+    # 133 moves, two operations each (2 x 266), and its only products are the
+    # 4 trace-sequence powers
     from ckbundle import sft
 
     rng = random.Random(48)
     a = random_unimodular(3, 6, rng)
     b = conjugate(a, random_unimodular(3, 24, rng))
-    products, columns, walks = [], [], []
-    add_column, walk = sft._add_column, sft._walk
+    products, operations, walks = [], [], []
+    apply, walk = sft._apply, sft._walk
 
     def counting_matmul(x, y):
         products.append(None)
         return matmul(x, y)
 
-    def counting_column(*args):
-        columns.append(None)
-        return add_column(*args)
+    def counting_apply(*args):
+        operations.append(None)
+        return apply(*args)
 
     def counting_walk(*args):
         walks.append(None)
         return walk(*args)
 
     monkeypatch.setattr(sft, "matmul", counting_matmul)
-    monkeypatch.setattr(sft, "_add_column", counting_column)
+    monkeypatch.setattr(sft, "_apply", counting_apply)
     monkeypatch.setattr(sft, "_walk", counting_walk)
     monkeypatch.setattr(sft, "_balls", {})
-    for expected_columns in (182, 0):
-        products.clear(), columns.clear()
+    for expected_operations in (182 + 133 + 2 * 266, 2 * 266):
+        products.clear(), operations.clear()
         assert conjugacy_search(a, b, search_depth=4).status is ConjugacyStatus.UNKNOWN
-        assert (len(products), len(columns)) == (4, expected_columns)
+        assert (len(products), len(operations)) == (4, expected_operations)
     assert len(walks) == 1 and list(sft._balls) == [(3, 2)]
 
 
 def test_early_hit_builds_no_ball(monkeypatch):
     # the first search of a shape walks lazily: the 12x12 Jordan block
-    # against itself meets at the identity, the first word, so it builds no
-    # further word and caches no ball (the whole ball took 70,490 column
-    # operations)
+    # against itself meets at the identity, the first word, so it applies no
+    # move and caches no ball (the whole ball took 70,490 column operations)
     from ckbundle import sft
 
-    columns = []
-    add_column = sft._add_column
+    operations = []
+    apply = sft._apply
 
-    def counting_column(*args):
-        columns.append(None)
-        return add_column(*args)
+    def counting_apply(*args):
+        operations.append(None)
+        return apply(*args)
 
-    monkeypatch.setattr(sft, "_add_column", counting_column)
+    monkeypatch.setattr(sft, "_apply", counting_apply)
     monkeypatch.setattr(sft, "_balls", {})
     jordan = IntMatrix([[int(j in (i, i + 1)) for j in range(12)] for i in range(12)])
     verdict = compare_bundles(jordan, jordan)
     assert (verdict.outcome, verdict.certificate) == (Outcome.HOMEOMORPHIC, IntMatrix.identity(12))
-    assert (len(columns), sft._balls) == (0, {})
+    assert (len(operations), sft._balls) == (0, {})
+
+
+def test_each_move_is_its_generator():
+    # move k's column pairs take a flat word w to w @ g and its row pairs take
+    # w^-1 to g^-1 @ w^-1, g the k-th generator, for every move of n = 1..4:
+    # this pins the move order and the sign flip's self-referencing pairs
+    from ckbundle.sft import _apply, _elementary_moves
+
+    def flat(m):
+        return tuple(chain.from_iterable(m.entries))
+
+    rng = random.Random(61)
+    for n in range(1, 5):
+        gens = [IntMatrix(g) for g in elementary_generators(n)]
+        moves = _elementary_moves(n)
+        assert len(moves) == len(gens) == 2 * n * (n - 1) + 1
+        for g, (s, columns, s_inv, rows) in zip(gens, moves):
+            g_inv = unimodular_inverse(g)
+            for _ in range(3):
+                w = random_unimodular(n, 8, rng)
+                w_inv = unimodular_inverse(w)
+                assert _apply(flat(w), s, columns) == flat(matmul(w, g))
+                assert _apply(flat(w_inv), s_inv, rows) == flat(matmul(g_inv, w_inv))
 
 
 def test_conjugacy_search_self():
