@@ -171,7 +171,7 @@ class IntMatrix:
         return all(x in (0, 1) for row in self._data for x in row)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([-x for x in row] for row in self._data)
+        return IntMatrix._wrap(tuple([tuple([-x for x in row]) for row in self._data]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return matmul(self, other)
@@ -247,11 +247,8 @@ def _echelon(m: list[list[int]]) -> tuple[list[int], int]:
 
 def _back_substitute(m: list[list[int]], d: int, c: int) -> list[int]:
     """y = d·x for the x with U x = (column c of m), bottom-up:
-    y_i = (d c_i - sum over j > i of U_ij y_j) // U_ii. Here m is a Bareiss
-    echelon of [a | e ...] for an n x n a, U its leading upper triangle and
-    d = m[n-1][n-1] = +-det a != 0. Then x = a^-1 e for the column e that
-    became column c, so y = +-adj(a) e is an integer vector and every
-    division is exact."""
+    y_i = (d c_i - sum over j > i of U_ij y_j) // U_ii. For _adjugate's m, U
+    and d = det a, x = a^-1 e, so y = adj(a) e and every division is exact."""
     n = len(m)
     y = [0] * n
     for i in range(n - 1, -1, -1):
@@ -260,12 +257,26 @@ def _back_substitute(m: list[list[int]], d: int, c: int) -> list[int]:
     return y
 
 
+def _adjugate(a: IntMatrix, k: int) -> tuple[int, Iterator[list[int]]]:
+    """(d, columns): d = det a, 0 exactly when a is singular, and columns
+    lazily yields adj(a) e for e = e_(n-1), ..., e_(n-k), none when d = 0.
+    One Bareiss echelon of [a | e_(n-1) ... e_(n-k)] gives d as its last
+    pivot times its row sign, then one _back_substitute per column."""
+    n = a.rows
+    m = [[*row, *[0] * k] for row in a.entries]
+    for j in range(k):
+        m[n - 1 - j][n + j] = 1
+    _, sign = _echelon(m)
+    d = sign * m[-1][n - 1]
+    return d, (_back_substitute(m, d, c) for c in range(n, n + k) if d)
+
+
 def det(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     _require_square(a, "det")
     m = a.to_lists()
-    pivots, sign = _echelon(m)
-    return sign * m[-1][-1] if len(pivots) == a.rows else 0
+    _, sign = _echelon(m)
+    return sign * m[-1][-1]  # 0 when a is singular: rows past the last pivot are zero
 
 
 class IntPolynomial(_Record):
@@ -514,16 +525,11 @@ def _certified_diagonal(a: IntMatrix) -> tuple[int, ...] | None:
     few adjugate columns and local eliminations (see smith_diagonal); None
     when a is singular or the certificate does not go through."""
     n = a.rows
-    k = min(n, _CYCLIC_PROBES)
-    m = [[*row, *[0] * k] for row in a.entries]
-    for j in range(k):
-        m[n - 1 - j][n + j] = 1
-    _echelon(m)
-    g = d = m[-1][n - 1]
+    d, probes = _adjugate(a, min(n, _CYCLIC_PROBES))
     if not d:
         return None
-    for j in range(k):
-        y = _back_substitute(m, d, n + j)
+    g = d
+    for j, y in enumerate(probes):
         target = [0] * n
         target[n - 1 - j] = d
         if [sum(map(operator.mul, row, y)) for row in a.entries] != target:
@@ -545,18 +551,15 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal of a, equal to smith_normal_form(a).diagonal(),
     computed without building the transforms u and v.
 
-    A square a is first tried by a certificate. One Bareiss echelon of
-    [a | e_(n-1) ... e_(n-k)], k = min(n, _CYCLIC_PROBES), leaves an upper
-    triangle U, transformed probe columns c and D = U[n-1][n-1] = +-det a.
-    If D != 0, U x = c holds over Q for x = a^-1 e, so y = D x is an integer
-    vector and the fraction-free back-substitution
-    y_i = (D c_i - sum over j > i of U_ij y_j) // U_ii divides exactly; the
-    check a @ y == D e is made before y is used. Then y is a column of adj a
-    up to sign, each entry of y is an (n-1)-minor of a, and so
-    d_1 ... d_(n-1), the gcd of all (n-1)-minors, divides every entry of y
-    and divides D = +-d_1 ... d_n. The probes stop once g = gcd(D, entries
-    of the probes so far) is 1: then d_1 = ... = d_(n-1) = 1 and the
-    diagonal is (1, ..., 1, |det a|), a cyclic cokernel.
+    A square a is first tried by a certificate. The adjugate solve
+    _adjugate(a, k), k = min(n, _CYCLIC_PROBES), gives D = det a and, if
+    D != 0, the probes y = adj(a) e for e = e_(n-1), ..., e_(n-k); the check
+    a @ y == D e is made before y is used. Each entry of y is an
+    (n-1)-minor of a, so d_1 ... d_(n-1), the gcd of all (n-1)-minors,
+    divides every entry of y and divides D = +-d_1 ... d_n. The probes stop
+    once g = gcd(D, entries of the probes so far) is 1: then
+    d_1 = ... = d_(n-1) = 1 and the diagonal is (1, ..., 1, |det a|), a
+    cyclic cokernel.
 
     Otherwise only the primes p of g divide d_1 ... d_(n-1), each to at most
     e = v_p(g). An elimination over Z/p^e gives the valuations of the
@@ -584,9 +587,8 @@ def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +/-1."""
+    """Exact inverse of a matrix with determinant d = +/-1: d·adj(a)."""
     _require_square(a, "unimodular_inverse")
-    _require_unimodular(det(a), "matrix")
-    dec = smith_normal_form(a)
-    # u @ a @ v == I, so a^{-1} = v @ u
-    return matmul(dec.v, dec.u)
+    d, columns = _adjugate(a, a.rows)
+    _require_unimodular(d, "matrix")
+    return IntMatrix._wrap(tuple(tuple(d * x for x in row) for row in zip(*[*columns][::-1])))

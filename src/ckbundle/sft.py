@@ -18,7 +18,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import ck
 from .abelian import FgAbelianGroup
-from .intmat import IntMatrix, _back_substitute, _echelon, _require_square, _require_unimodular
+from .intmat import IntMatrix, _adjugate, _echelon, _require_square, _require_unimodular
 from .intmat import _Record, det, matmul, matpow, trace
 
 __all__ = [
@@ -39,6 +39,14 @@ __all__ = [
 # number of free entries: 7^6 lets a non-derogatory 6x6 pair run at the
 # default entry bound 6, while a scalar 3x3 matrix (7^9 there) is refused.
 MAX_SE_CANDIDATES = 7**6
+
+# Most words _walk yields, so the most that any conjugacy search or
+# unimodular_words walks: 200,000 words reach about 115 MB peak RSS in 0.8 s
+# at n = 3 and 205 MB in 1.2 s at n = 6 (2 shared vCPUs); a depth-12 3x3
+# search that walks all 184,609 words of length <= 6 takes 2-3 s and about
+# 200 MB. The largest ball a test or the benchmark builds, 6x6 at h = 2,
+# holds 2,462 words.
+MAX_SEARCH_WORDS = 200_000
 
 
 class SEWitness(_Record):
@@ -166,9 +174,9 @@ def _solve_se_witness(
     a: IntMatrix, rs: list[IntMatrix], max_lag: int, bound: int
 ) -> SEWitness | None:
     """Per lag, the first r of rs whose s = r^-1 @ a^lag is an integer
-    matrix in [0, bound]. Each r's d·r^-1 is made when the first lag reaches
-    r and kept; a lag then costs one product per r, cut at the first entry
-    of s that fails."""
+    matrix in [0, bound]. Each r's adj r = d·r^-1 (d = det r) is made when
+    the first lag reaches r and kept; a lag then costs one product per r,
+    cut at the first entry of s that fails."""
     solved: list[tuple[IntMatrix, int, tuple]] = []  # filled by the first lag
     a_pow = a
     for lag in range(1, max_lag + 1):
@@ -183,15 +191,13 @@ def _solve_se_witness(
 
 
 def _nonsingular(rs: list[IntMatrix], solved: list) -> Iterator[tuple[IntMatrix, int, tuple]]:
-    """(r, d, rows of d·r^-1), d = +-det r, for each nonsingular r, each
-    also appended to solved: one Bareiss echelon of [r | I] per r."""
+    """(r, d, rows of adj r), d = det r, for each nonsingular r, each also
+    appended to solved: one adjugate solve per r (intmat._adjugate), whose
+    columns come last first."""
     for r in rs:
-        n = r.rows
-        m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(r.entries)]
-        _echelon(m)
-        d = m[-1][n - 1]  # 0 when r is singular
+        d, columns = _adjugate(r, r.rows)
         if d:
-            solved.append((r, d, tuple(zip(*(_back_substitute(m, d, n + j) for j in range(n))))))
+            solved.append((r, d, tuple(zip(*[*columns][::-1]))))
             yield solved[-1]
 
 
@@ -305,7 +311,8 @@ def _walk(n: int, max_length: int) -> Iterator[tuple[tuple, tuple, int, _Move | 
     identity (parent -1, move None), each word and inverse a flat row-major
     tuple. A word w extended by the generator g of a move is w @ g, the
     move's column pairs applied to w, with inverse g^{-1} @ w^{-1}, its row
-    pairs applied to w^{-1}; its parent is w's index in this walk."""
+    pairs applied to w^{-1}; its parent is w's index in this walk. Raises
+    ValueError before it would yield word MAX_SEARCH_WORDS + 1."""
     _require_depth(max_length)
     ident = tuple(chain.from_iterable(IntMatrix.identity(n).entries))  # raises for n < 1
     yield ident, ident, -1, None
@@ -319,6 +326,11 @@ def _walk(n: int, max_length: int) -> Iterator[tuple[tuple, tuple, int, _Move | 
                 s, columns, s_inv, rows = move
                 m = _apply(w, s, columns)
                 if m not in seen:
+                    if len(seen) == MAX_SEARCH_WORDS:
+                        raise ValueError(
+                            f"word search would walk more than the limit {MAX_SEARCH_WORDS}"
+                            f" words ({n}x{n}, length <= {max_length}); lower the search depth"
+                        )
                     seen.add(m)
                     m_inv = _apply(w_inv, s_inv, rows)
                     nxt.append((len(seen) - 1, m, m_inv))  # m's index in the walk
@@ -335,7 +347,8 @@ def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMa
     reproducible. Each word is its parent word times one generator, a column
     operation (its inverse a row operation). The walk is lazy: a caller that
     stops early builds no further word. conjugacy_search reads the same walk
-    through _ball_words, which keeps it as a ball once it has run to its end."""
+    through _ball_words, which keeps it as a ball once it has run to its end.
+    Raises ValueError instead of yielding word MAX_SEARCH_WORDS + 1."""
     for w, w_inv, _, _ in _walk(n, max_length):
         yield _matrix(w, n), _matrix(w_inv, n)
 
@@ -486,6 +499,9 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     coefficients built once per search (_fingerprint), is zero, as it is for
     every conjugator. A word becomes an IntMatrix only for that full test or
     a certificate.
+
+    The walk stops at MAX_SEARCH_WORDS words: a search that needs more
+    raises ValueError, unless its first-hit scan returns before.
     """
     return _search(_Profile(a), _Profile(b), search_depth)
 

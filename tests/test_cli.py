@@ -158,6 +158,24 @@ def test_cli_compare_inconclusive_exit_code(tmp_path, capsys):
     assert "verdict: Inconclusive" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["compare", "conj-search"])
+def test_cli_search_over_the_word_budget_exits_3(tmp_path, capsys, monkeypatch, command):
+    from ckbundle import sft
+
+    monkeypatch.setattr(sft, "_balls", {})
+    monkeypatch.setattr(sft, "MAX_SEARCH_WORDS", 100)
+    # conjugate by a 30-letter word and by no word of length <= 8
+    a = _write(tmp_path, "a.txt", "11 2\n5 1\n")
+    b = _write(tmp_path, "b.txt", "-2864 -3913\n2105 2876\n")
+    assert main([command, a, b, "--depth", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: word search would walk more than the limit 100 words (2x2, length <= 4);"
+        " lower the search depth\n"
+    )
+
+
 def test_cli_compare_validation_failure(tmp_path, capsys):
     a = _write(tmp_path, "a.txt", A2_TEXT)
     bad = _write(tmp_path, "bad.txt", "2 0\n0 1\n")

@@ -530,7 +530,61 @@ def test_unimodular_inverse():
         n = rng.randint(1, 4)
         u = random_unimodular(n, rng.randint(0, 6), rng)
         assert matmul(u, unimodular_inverse(u)) == IntMatrix.identity(n)
+    rng = random.Random(51)
+    signs = set()
+    for n in range(1, 7):
+        for _ in range(6):
+            u = random_unimodular(n, rng.randint(0, 4 * n), rng)
+            v = unimodular_inverse(u)
+            assert matmul(u, v) == matmul(v, u) == IntMatrix.identity(n)
+            signs.add(det(u))
+    assert signs == {1, -1}
     with pytest.raises(NotUnimodular):
         unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
     with pytest.raises(NotUnimodular, match=r"^matrix has determinant 0, expected \+/-1$"):
         unimodular_inverse(IntMatrix([[1, 2], [2, 4]]))
+    # the echelon swaps the rows, so the sign must be read with the pivot
+    with pytest.raises(NotUnimodular, match=r"^matrix has determinant -2, expected \+/-1$"):
+        unimodular_inverse(IntMatrix([[0, 1], [2, 0]]))
+
+
+def _cofactor_column(rows, j):
+    """Column j of adj(rows) from cofactor minors: (-1)^(i+j) M_ji."""
+    n = len(rows)
+    if n == 1:
+        return [1]
+    minor = [row for r, row in enumerate(rows) if r != j]
+    return [
+        (-1) ** (i + j) * det_cofactor([row[:i] + row[i + 1 :] for row in minor])
+        for i in range(n)
+    ]
+
+
+def test_adjugate_matches_cofactor_oracle():
+    from ckbundle.intmat import _adjugate, _echelon
+
+    rng = random.Random(52)
+    cases = []
+    for n in range(1, 6):
+        for _ in range(8):
+            cases.append(random_matrix(rng, n, n, -4, 4).to_lists())
+            cases.append(random_unimodular(n, rng.randint(0, 3 * n), rng).to_lists())
+            swapped = random_matrix(rng, n, n, -4, 4).to_lists()
+            swapped[0][0] = 0
+            cases.append(swapped)
+            singular = random_matrix(rng, n, n, -4, 4).to_lists()
+            singular[-1] = [2 * x for x in singular[0]]
+            cases.append(singular)
+    seen = {"singular": 0, "swap": 0, "unimodular": 0}
+    for rows in cases:
+        n = len(rows)
+        d = det_cofactor(rows)
+        for k in range(1, n + 1):
+            got, columns = _adjugate(IntMatrix(rows), k)
+            assert got == d
+            expected = [_cofactor_column(rows, n - 1 - j) for j in range(k)] if d else []
+            assert list(columns) == expected
+        seen["singular"] += d == 0
+        seen["unimodular"] += d in (1, -1)
+        seen["swap"] += d != 0 and _echelon([row[:] for row in rows])[1] == -1
+    assert min(seen.values()) >= 20, seen

@@ -1,7 +1,7 @@
 """README stays true: its Library example prints what its comments say,
 every name its module map gives exists in that module, every name in a
-module's __all__ appears in its bullet, and every module-qualified name it
-gives anywhere resolves."""
+module's __all__ appears in its bullet, every module-qualified name it
+gives anywhere resolves, and every limit it quotes equals the constant."""
 
 import builtins
 import contextlib
@@ -43,3 +43,19 @@ def test_readme_qualified_names_resolve():
     for name, module in names:
         path = name.split(".")[1:]
         functools.reduce(getattr, path, importlib.import_module(f"ckbundle.{module}"))
+
+
+def test_readme_limits_equal_the_constants():
+    # `module.NAME` = value, the value a chain like 7⁶ = 117,649
+    term = r"[\d,]+[⁰¹²³⁴⁵⁶⁷⁸⁹]*"
+    quoted = re.findall(rf"`(\w+)\.([A-Z][A-Z_]*)`\s+=\s+((?:{term}\s+=\s+)*[\d,]*\d)", README)
+    superscripts = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+    names = set()
+    for module, name, chain in quoted:
+        constant = getattr(importlib.import_module(f"ckbundle.{module}"), name)
+        for value in re.split(r"\s+=\s+", chain):
+            base, power = re.fullmatch(r"([\d,]+)(\D*)", value).groups()
+            quoted_value = int(base.replace(",", "")) ** int(power.translate(superscripts) or 1)
+            assert quoted_value == constant, (f"{module}.{name}", value, constant)
+        names.add(f"{module}.{name}")
+    assert names >= {"ck.MAX_DILATION_ARCS", "sft.MAX_SE_CANDIDATES", "sft.MAX_SEARCH_WORDS"}

@@ -696,6 +696,43 @@ def test_conjugacy_search_deep_meet_is_bounded(monkeypatch):
     assert verdict.outcome is Outcome.HOMEOMORPHIC and verdict.certificate == u
 
 
+# a 2x2 pair conjugate by a 30-letter word and by no word of length <= 8
+WORD_BUDGET_PAIR = (IntMatrix([[11, 2], [5, 1]]), IntMatrix([[-2864, -3913], [2105, 2876]]))
+
+
+def test_word_walk_stops_at_the_budget(monkeypatch):
+    from ckbundle import sft
+
+    a, b = WORD_BUDGET_PAIR
+    monkeypatch.setattr(sft, "_balls", {})
+    # the 162 words of length <= 4 fit the real budget
+    assert conjugacy_search(a, b, search_depth=8).status is ConjugacyStatus.UNKNOWN
+    monkeypatch.setattr(sft, "_balls", {})
+    monkeypatch.setattr(sft, "MAX_SEARCH_WORDS", 100)
+    message = r"more than the limit 100 words \(2x2, length <= 4\); lower the search depth"
+    with pytest.raises(ValueError, match=message):
+        conjugacy_search(a, b, search_depth=8)
+    with pytest.raises(ValueError, match=message):
+        compare_bundles(a, b, search_depth=8)
+    assert sft._balls == {}  # a walk cut short caches no ball
+    words = unimodular_words(2, 10)
+    assert sum(1 for _ in zip(range(100), words)) == 100
+    with pytest.raises(ValueError, match=r"limit 100 words \(2x2, length <= 10\)"):
+        next(words)
+    # a conjugator among the first 100 words is still found
+    b = conjugate(a, IntMatrix([[1, 1], [0, 1]]))
+    result = conjugacy_search(a, b, search_depth=8)
+    assert result.status is ConjugacyStatus.CONJUGATE
+    assert matmul(result.conjugator, a) == matmul(b, result.conjugator)
+
+
+def test_word_budget_exceeds_every_ball_built():
+    # the largest ball a test or the benchmark builds is 6x6 at h = 2
+    from ckbundle import sft
+
+    assert sum(1 for _ in sft._walk(6, 2)) == 2462 < sft.MAX_SEARCH_WORDS
+
+
 def test_conjugacy_search_definitive_obstruction():
     result = conjugacy_search(A2, A3, search_depth=3)
     assert result.status is ConjugacyStatus.NOT_CONJUGATE
