@@ -83,7 +83,7 @@ def nonnegative_representative(
 
     Returns the first hit in word-enumeration order, or None; a None is not
     a proof that no nonnegative conjugate exists. Raises ValueError where
-    the word walk would pass sft.MAX_SEARCH_WORDS words.
+    the word walk would pass its budget, sft.MAX_SEARCH_ENTRIES.
     """
     normalized = normalize_monodromy(a).matrix
     for u, u_inv in sft.unimodular_words(a.rows, search_depth):
@@ -176,7 +176,7 @@ def compare_bundles(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Compar
     Each monodromy's det, K0 and trace sequence are computed at most once per
     call, shared by the rungs and the conjugacy search; H1 = Z + K0 is read
     off K0's Smith diagonal. The search raises ValueError where its word walk
-    would pass sft.MAX_SEARCH_WORDS words.
+    would pass its budget, sft.MAX_SEARCH_ENTRIES.
     """
     p, q = _monodromy(a), _monodromy(b)
     if a.rows != b.rows:

@@ -225,21 +225,47 @@ def _echelon(m: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) row echelon form of m (row lists) in place;
     returns the pivot columns and the row permutation's sign. Columns without
     a pivot are skipped, so m may be rectangular and of any rank; rows past
-    the last pivot end up zero. Entries stay minors, so divisions are exact."""
+    the last pivot end up zero. Entries stay minors, so divisions are exact.
+
+    Rows are scaled lazily. With p_s the pivot of step s (p_0 = 1), step s
+    takes row i to M(s)_ij = (M(s-1)_ij p_s - M(s-1)_is M(s-1)_sj) / p_(s-1);
+    where M(s-1)_is = 0 that only scales the row by p_s / p_(s-1), so such a
+    row is not touched. divisors[i] is the pivot p_a of the step a that last
+    reduced row i (1 before any), and the row holds M(a)_i: the true row is
+    M(s-1)_i = M(a)_i p_(s-1) / p_a, zero exactly where the stored one is, so
+    the pivot search reads the same columns. A row with x = M(a)_is != 0 is
+    reduced from what it holds, M(s)_ij = (M(a)_ij p_s - x M(s-1)_sj) / p_a,
+    again a minor, and the pivot row is first brought up to date (times
+    p_(s-1) / p_a). Every pivot row so ends as the textbook loop leaves it,
+    and so do the pivots and the sign; rows past the rank are zero."""
     pivots, sign, prev = [], 1, 1
-    for c in range(len(m[0])):
-        k = len(pivots)
-        swap = next((i for i in range(k, len(m)) if m[i][c]), None)
-        if swap is None:
+    n, width = len(m), len(m[0])
+    divisors = [1] * n
+    k = 0  # the number of pivots so far, and the next pivot row
+    for c in range(width):
+        for i in range(k, n):
+            if m[i][c]:
+                break
+        else:
             continue
-        if swap != k:
-            m[k], m[swap] = m[swap], m[k]
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            divisors[k], divisors[i] = divisors[i], divisors[k]
             sign = -sign
-        top, pivot = m[k], m[k][c]
-        for row in m[k + 1 :]:
-            for j in range(c + 1, len(row)):
-                row[j] = (row[j] * pivot - row[c] * top[j]) // prev
-            row[c] = 0
+        top = m[k]
+        if (d := divisors[k]) != prev:
+            top[c:] = [y * prev // d for y in top[c:]]  # zero left of c
+        pivot = top[c]
+        k += 1
+        columns = range(c + 1, width)
+        for i in range(k, n):
+            row = m[i]
+            if x := row[c]:
+                d = divisors[i]
+                for j in columns:
+                    row[j] = (row[j] * pivot - x * top[j]) // d
+                row[c] = 0
+                divisors[i] = pivot
         prev = pivot
         pivots.append(c)
     return pivots, sign

@@ -40,13 +40,18 @@ __all__ = [
 # default entry bound 6, while a scalar 3x3 matrix (7^9 there) is refused.
 MAX_SE_CANDIDATES = 7**6
 
-# Most words _walk yields, so the most that any conjugacy search or
-# unimodular_words walks: 200,000 words reach about 115 MB peak RSS in 0.8 s
-# at n = 3 and 205 MB in 1.2 s at n = 6 (2 shared vCPUs); a depth-12 3x3
-# search that walks all 184,609 words of length <= 6 takes 2-3 s and about
-# 200 MB. The largest ball a test or the benchmark builds, 6x6 at h = 2,
-# holds 2,462 words.
-MAX_SEARCH_WORDS = 200_000
+# Most entries the word walk stores. Each n x n word is charged
+# max(n, 3)^2 + 31 entries (_word_limit); the clamp and the 31 are fitted,
+# not measured, so that the walk keeps exactly 200,000 words at n <= 3 and
+# admits the whole ball of the default search depth 4 (h = 2) at every
+# n <= 12, the largest size the CLI takes without a warning: 40,922 words
+# at n = 12 against a limit of 45,714. Measured with `compare` on a
+# conjugate pair that no short word relates (2 shared vCPUs, peak RSS):
+# 200,000 3x3 words (depth 16) in about 1 s and 115 MB; the full 12x12 default
+# search in 2.4 s and 226 MB; a 20x20 one exits 3 at its limit of 18,561
+# words after 3.8 s and 139 MB. A depth-12 3x3 search that walks all
+# 184,609 words of length <= 6 takes 2-3 s and about 200 MB.
+MAX_SEARCH_ENTRIES = 8_000_000
 
 
 class SEWitness(_Record):
@@ -305,6 +310,12 @@ def _require_depth(depth: int) -> None:
         raise ValueError(f"search depth must be >= 0, got {depth}")
 
 
+def _word_limit(n: int) -> int:
+    """The most n x n words the walk may store: MAX_SEARCH_ENTRIES with each
+    word charged max(n, 3)^2 + 31 entries."""
+    return MAX_SEARCH_ENTRIES // (max(n, 3) ** 2 + 31)
+
+
 def _walk(n: int, max_length: int) -> Iterator[tuple[tuple, tuple, int, _Move | None]]:
     """(word, inverse, parent index, move) for every product of at most
     max_length elementary generators, deduplicated, breadth first from the
@@ -312,9 +323,10 @@ def _walk(n: int, max_length: int) -> Iterator[tuple[tuple, tuple, int, _Move | 
     tuple. A word w extended by the generator g of a move is w @ g, the
     move's column pairs applied to w, with inverse g^{-1} @ w^{-1}, its row
     pairs applied to w^{-1}; its parent is w's index in this walk. Raises
-    ValueError before it would yield word MAX_SEARCH_WORDS + 1."""
+    ValueError before it would yield more than _word_limit(n) words."""
     _require_depth(max_length)
     ident = tuple(chain.from_iterable(IntMatrix.identity(n).entries))  # raises for n < 1
+    limit = _word_limit(n)
     yield ident, ident, -1, None
     seen = {ident}
     frontier = [(0, ident, ident)]
@@ -326,9 +338,9 @@ def _walk(n: int, max_length: int) -> Iterator[tuple[tuple, tuple, int, _Move | 
                 s, columns, s_inv, rows = move
                 m = _apply(w, s, columns)
                 if m not in seen:
-                    if len(seen) == MAX_SEARCH_WORDS:
+                    if len(seen) == limit:
                         raise ValueError(
-                            f"word search would walk more than the limit {MAX_SEARCH_WORDS}"
+                            f"word search would walk more than the limit {limit}"
                             f" words ({n}x{n}, length <= {max_length}); lower the search depth"
                         )
                     seen.add(m)
@@ -348,7 +360,8 @@ def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMa
     operation (its inverse a row operation). The walk is lazy: a caller that
     stops early builds no further word. conjugacy_search reads the same walk
     through _ball_words, which keeps it as a ball once it has run to its end.
-    Raises ValueError instead of yielding word MAX_SEARCH_WORDS + 1."""
+    Raises ValueError instead of walking past the budget MAX_SEARCH_ENTRIES
+    (see _walk)."""
     for w, w_inv, _, _ in _walk(n, max_length):
         yield _matrix(w, n), _matrix(w_inv, n)
 
@@ -376,8 +389,8 @@ class _Ball(NamedTuple):
 
 
 # at most 8 balls per process, the oldest dropped first: comparing 2x2 and
-# 3x3 bundles at the default depth needs two, and the largest ball any test
-# builds, 6x6 at h = 2, holds 2,462 words
+# 3x3 bundles at the default depth needs two, and the largest ball at that
+# depth for a size without a CLI warning, 12x12 at h = 2, holds 40,922 words
 _balls: dict[tuple[int, int], _Ball] = {}
 
 
@@ -500,8 +513,10 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     every conjugator. A word becomes an IntMatrix only for that full test or
     a certificate.
 
-    The walk stops at MAX_SEARCH_WORDS words: a search that needs more
-    raises ValueError, unless its first-hit scan returns before.
+    The walk stops at _word_limit(n) words (MAX_SEARCH_ENTRIES), which
+    admits the whole ball of the default depth for every n <= 12: a search
+    that needs more raises ValueError, unless its first-hit scan returns
+    before.
     """
     return _search(_Profile(a), _Profile(b), search_depth)
 

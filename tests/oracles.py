@@ -24,6 +24,37 @@ def det_cofactor(rows):
     return total
 
 
+def bareiss_reference(m):
+    """Fraction-free (Bareiss) row echelon form of m (row lists) in place, by
+    the textbook loop: at each pivot step every row below the pivot row is
+    updated in every column, whatever its pivot-column entry, and divided by
+    the previous pivot. Returns (pivot columns, the row permutation's sign,
+    stale): stale has one entry per step whose pivot row had a zero entry in
+    the previous pivot column, so that a kernel which skips such rows must
+    first rescale it, and the entry says whether a swap brought it up."""
+    pivots, sign, prev, stale, reduced = [], 1, 1, [], None
+    for c in range(len(m[0])):
+        k = len(pivots)
+        candidates = [i for i in range(k, len(m)) if m[i][c] != 0]
+        if not candidates:
+            continue
+        swapped = candidates[0] != k
+        if swapped:
+            m[k], m[candidates[0]] = m[candidates[0]], m[k]
+            sign = -sign
+        top, pivot = m[k], m[k][c]
+        if reduced is not None and not any(row is top for row in reduced):
+            stale.append(swapped)
+        reduced = [row for row in m[k + 1 :] if row[c] != 0]
+        for row in m[k + 1 :]:
+            x = row[c]
+            for j in range(len(row)):
+                row[j] = (row[j] * pivot - x * top[j]) // prev
+        prev = pivot
+        pivots.append(c)
+    return pivots, sign, stale
+
+
 def rank_by_minors(rows):
     """Rank = size of the largest square submatrix with nonzero determinant."""
     m, n = len(rows), len(rows[0])

@@ -11,7 +11,7 @@ import ckbundle
 from ckbundle import IntMatrix, bundle, compare_bundles, det, make_bundle, trace
 from ckbundle.cli import InvariantReport, ParseError, build_report, main, parse_matrix
 
-from conftest import A2, A3, cli_in_subprocess, random_unimodular
+from conftest import A2, A3, cli_in_subprocess, conjugate, random_unimodular
 
 A2_TEXT = "5 2\n2 1\n"
 A3_TEXT = "5 1\n4 1\n"
@@ -163,7 +163,7 @@ def test_cli_search_over_the_word_budget_exits_3(tmp_path, capsys, monkeypatch, 
     from ckbundle import sft
 
     monkeypatch.setattr(sft, "_balls", {})
-    monkeypatch.setattr(sft, "MAX_SEARCH_WORDS", 100)
+    monkeypatch.setattr(sft, "MAX_SEARCH_ENTRIES", 4000)  # 100 2x2 words, 3^2 + 31 each
     # conjugate by a 30-letter word and by no word of length <= 8
     a = _write(tmp_path, "a.txt", "11 2\n5 1\n")
     b = _write(tmp_path, "b.txt", "-2864 -3913\n2105 2876\n")
@@ -174,6 +174,40 @@ def test_cli_search_over_the_word_budget_exits_3(tmp_path, capsys, monkeypatch, 
         "error: word search would walk more than the limit 100 words (2x2, length <= 4);"
         " lower the search depth\n"
     )
+
+
+def test_cli_compare_of_large_matrices_stops_at_the_entry_budget(tmp_path):
+    # a 20x20 pair with equal det, traces and K0 reaches the word walk; the
+    # budget counts entries, so the walk stops after 18,561 words (about
+    # 139 MB peak), well below what 200,000 such words would hold (about
+    # 1.3 GB)
+    rng = random.Random(20)
+    a = random_unimodular(20, 30, rng)
+    b = conjugate(a, random_unimodular(20, 40, rng))
+    for name, m in (("a.txt", a), ("b.txt", b)):
+        (tmp_path / name).write_text("".join(" ".join(map(str, row)) + "\n" for row in m))
+    # a parent process of its own, so that its children's peak is this run's
+    script = (
+        "import resource, subprocess, sys; "
+        "code = subprocess.run(sys.argv[1:]).returncode; "
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ckbundle.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script, sys.executable, "-m", "ckbundle.cli", "compare", "a.txt", "b.txt"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    code, peak_kb = map(int, done.stdout.split())
+    assert code == 3
+    assert done.stderr.endswith(
+        "error: word search would walk more than the limit 18561 words (20x20, length <= 2);"
+        " lower the search depth\n"
+    )
+    assert peak_kb < 200 * 1024
 
 
 def test_cli_compare_validation_failure(tmp_path, capsys):

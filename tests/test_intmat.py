@@ -22,6 +22,7 @@ from ckbundle import intmat
 
 from conftest import A2, A3, FIB, identity_minus_transpose, random_matrix, random_unimodular
 from oracles import (
+    bareiss_reference,
     brute_kernel_vectors,
     charpoly_faddeev,
     det_cofactor,
@@ -173,6 +174,104 @@ def test_echelon_matches_rank_oracle():
             assert m[t][c] != 0 and not any(m[t][:c])
             assert not any(m[i][c] for i in range(t + 1, rows))
         assert not any(any(row) for row in m[len(pivots) :])
+
+
+def _echelon_cases(rng):
+    """Row lists for the echelon: rectangular ones of mixed density, with
+    zero columns, of low rank, permuted block-triangular squares, and
+    cyclic-imprimitive patterns, alone, as I - A^t and beside unit columns."""
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice((0.15, 0.4, 1.0))
+        m = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+        for j in rng.sample(range(cols), rng.randint(0, cols - 1)):
+            for row in m:
+                row[j] = 0
+        yield m
+    for _ in range(100):
+        rows, cols, k = rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 4)
+        left = random_matrix(rng, rows, k, -3, 3).to_lists()
+        right = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(cols)] for _ in range(k)]
+        yield [[sum(x * row[j] for x, row in zip(line, right)) for j in range(cols)] for line in left]
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
+        block = [sum(i >= cut for cut in cuts) for i in range(n)]
+        m = [[rng.randint(-3, 3) if block[i] <= block[j] else 0 for j in range(n)] for i in range(n)]
+        rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
+        yield [[m[i][j] for j in cp] for i in rp]
+    for _ in range(150):
+        period = rng.randint(2, 4)
+        n = period * rng.randint(2, 4)
+        a = [[rng.randint(0, 2) if j % period == (i + 1) % period else 0 for j in range(n)] for i in range(n)]
+        perm = rng.sample(range(n), n)
+        a = [[a[i][j] for j in perm] for i in perm]
+        yield a
+        i_minus = identity_minus_transpose(IntMatrix(a)).to_lists()
+        yield i_minus
+        yield [row + [int(i == n - 1 - t) for t in range(4)] for i, row in enumerate(i_minus)]
+
+
+def test_echelon_matches_bareiss_reference():
+    # the lazily scaled kernel leaves exactly what the textbook loop leaves,
+    # in place, with the same pivots and sign, on every kind of input; the
+    # seen counts make sure that rows it skipped become pivot rows, also
+    # after a swap, and that a square input's last pivot gives its det
+    from ckbundle.intmat import _echelon
+
+    seen = {"stale": 0, "stale swapped": 0, "square": 0, "singular": 0}
+    for rows in _echelon_cases(random.Random(27)):
+        m, expected = [row[:] for row in rows], [row[:] for row in rows]
+        pivots, sign, stale = bareiss_reference(expected)
+        assert (_echelon(m), m) == ((pivots, sign), expected), rows
+        seen["stale"] += len(stale)
+        seen["stale swapped"] += sum(stale)
+        if len(rows) == len(rows[0]) <= 8:
+            d = det_cofactor(rows)
+            assert sign * m[-1][-1] == d
+            seen["square"] += 1
+            seen["singular"] += d == 0
+    assert min(seen.values()) >= 100, seen
+
+
+class _LoggedRow(list):
+    """A row that appends its label to a shared log on every write."""
+
+    def __init__(self, values, label, log):
+        super().__init__(values)
+        self.label, self.log = label, log
+
+    def __setitem__(self, key, value):
+        self.log.append(self.label)
+        super().__setitem__(key, value)
+
+
+def test_echelon_does_not_touch_rows_with_a_zero_pivot_entry():
+    # upper block-triangular [[A, B], [0, C]], A 4x3 and C 2x3: steps 0-2
+    # pivot in columns 0-2, where rows 4 and 5 are zero, and row 3 must be
+    # reduced at each of them, so its last write ends step 2. The textbook
+    # loop rescales rows 4 and 5 at every step; the kernel writes them only
+    # once the elimination reaches column 3.
+    from ckbundle.intmat import _echelon
+
+    rows = [
+        [2, 1, 1, 3, 1, 2],
+        [1, 3, 2, 1, 2, 1],
+        [3, 1, 2, 2, 1, 3],
+        [1, 2, 3, 1, 3, 2],
+        [0, 0, 0, 2, 1, 1],
+        [0, 0, 0, 1, 3, 2],
+    ]
+
+    def written(kernel):
+        log = []
+        m = [_LoggedRow(row, i, log) for i, row in enumerate(rows)]
+        assert kernel(m)[:2] == ([0, 1, 2, 3, 4, 5], 1)
+        end_of_step_2 = max(t for t, label in enumerate(log) if label == 3)
+        return {label for label in log[:end_of_step_2]}
+
+    assert written(bareiss_reference) == {1, 2, 3, 4, 5}
+    assert written(_echelon) == {1, 2, 3}
 
 
 def test_trace_examples():

@@ -58,4 +58,4 @@ def test_readme_limits_equal_the_constants():
             quoted_value = int(base.replace(",", "")) ** int(power.translate(superscripts) or 1)
             assert quoted_value == constant, (f"{module}.{name}", value, constant)
         names.add(f"{module}.{name}")
-    assert names >= {"ck.MAX_DILATION_ARCS", "sft.MAX_SE_CANDIDATES", "sft.MAX_SEARCH_WORDS"}
+    assert names >= {"ck.MAX_DILATION_ARCS", "sft.MAX_SE_CANDIDATES", "sft.MAX_SEARCH_ENTRIES"}

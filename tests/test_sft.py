@@ -708,7 +708,7 @@ def test_word_walk_stops_at_the_budget(monkeypatch):
     # the 162 words of length <= 4 fit the real budget
     assert conjugacy_search(a, b, search_depth=8).status is ConjugacyStatus.UNKNOWN
     monkeypatch.setattr(sft, "_balls", {})
-    monkeypatch.setattr(sft, "MAX_SEARCH_WORDS", 100)
+    monkeypatch.setattr(sft, "MAX_SEARCH_ENTRIES", 4000)  # 100 2x2 words, 3^2 + 31 each
     message = r"more than the limit 100 words \(2x2, length <= 4\); lower the search depth"
     with pytest.raises(ValueError, match=message):
         conjugacy_search(a, b, search_depth=8)
@@ -727,10 +727,21 @@ def test_word_walk_stops_at_the_budget(monkeypatch):
 
 
 def test_word_budget_exceeds_every_ball_built():
-    # the largest ball a test or the benchmark builds is 6x6 at h = 2
+    # the default search depth 4 walks the ball of length <= 2, and the
+    # budget admits it at every size the CLI takes without a warning, the
+    # largest being 12x12 (40,922 words); n <= 3 keeps 200,000 words
     from ckbundle import sft
+    from ckbundle.cli import SIZE_WARNING_THRESHOLD
 
-    assert sum(1 for _ in sft._walk(6, 2)) == 2462 < sft.MAX_SEARCH_WORDS
+    def ball_size(n):  # the words of length <= 2, counted by their shape
+        p = n * (n - 1)
+        return 1 + (2 * p + 1) + 2 * p + 2 * p * (p - 2 * n + 2) + 4 * p * (2 * n - 3) + 2 * p
+
+    assert sum(1 for _ in sft._walk(6, 2)) == ball_size(6) == 2462
+    assert sum(1 for _ in sft._walk(12, 2)) == ball_size(12) == 40922 <= sft._word_limit(12)
+    for n in range(2, SIZE_WARNING_THRESHOLD + 1):
+        assert ball_size(n) <= sft._word_limit(n)
+    assert [sft._word_limit(n) for n in (1, 2, 3)] == [200_000] * 3
 
 
 def test_conjugacy_search_definitive_obstruction():
