@@ -183,8 +183,8 @@ def compare_bundles(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Compar
         raise ValueError(f"cannot compare bundles of fiber dimension {a.rows} and {b.rows}")
     sft._require_depth(search_depth)
     rungs = [("H1", lambda side: _z_plus(side.k0)), ("det", attrgetter("det"))]
-    flipped = normalize_monodromy(a).flipped
-    if flipped == normalize_monodromy(b).flipped:
+    flipped = trace(a) < 0  # normalize_monodromy's flip rule
+    if flipped == (trace(b) < 0):
         # the images are both raw monodromies or both sign-flipped
         rungs.insert(0, ("K0", lambda side: ck.k0(-side.matrix) if flipped else side.k0))
     difference = sft._first_difference(p, q, rungs)

@@ -283,13 +283,38 @@ def _back_substitute(m: list[list[int]], d: int, c: int) -> list[int]:
     return y
 
 
+def _cofactors(rows: tuple[tuple[int, ...], ...]) -> tuple[int, list[list[int]]]:
+    """(det, cofactors) of a square matrix of size n <= 3 by explicit
+    expansion; row j of the cofactor matrix is column j of the adjugate,
+    adj(a) e_j."""
+    if len(rows) == 1:
+        return rows[0][0], [[1]]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c, [[d, -c], [-b, a]]
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    top = [e * i - f * h, f * g - d * i, d * h - e * g]
+    return a * top[0] + b * top[1] + c * top[2], [
+        top,
+        [c * h - b * i, a * i - c * g, b * g - a * h],
+        [b * f - c * e, c * d - a * f, a * e - b * d],
+    ]
+
+
 def _adjugate(a: IntMatrix, k: int) -> tuple[int, Iterator[list[int]]]:
     """(d, columns): d = det a, 0 exactly when a is singular, and columns
     lazily yields adj(a) e for e = e_(n-1), ..., e_(n-k), none when d = 0.
-    One Bareiss echelon of [a | e_(n-1) ... e_(n-k)] gives d as its last
+    Up to 3x3 both come from the explicit cofactors (_cofactors), with no
+    elimination; 3 is the largest size whose determinantal divisors are all
+    among D_1, D_(n-1) and D_n (see smith_diagonal). Larger inputs run one
+    Bareiss echelon of [a | e_(n-1) ... e_(n-k)], which gives d as its last
     pivot times its row sign, then one _back_substitute per column."""
     n = a.rows
-    m = [[*row, *[0] * k] for row in a.entries]
+    if n <= 3:
+        d, c = _cofactors(a.entries)
+        return d, (c[n - 1 - j] for j in range(k) if d)
+    zeros = [0] * k
+    m = [[*row, *zeros] for row in a.entries]
     for j in range(k):
         m[n - 1 - j][n + j] = 1
     _, sign = _echelon(m)
@@ -298,11 +323,10 @@ def _adjugate(a: IntMatrix, k: int) -> tuple[int, Iterator[list[int]]]:
 
 
 def det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant, from _adjugate with no columns: explicit cofactor
+    expansion up to 3x3, fraction-free (Bareiss) elimination above."""
     _require_square(a, "det")
-    m = a.to_lists()
-    _, sign = _echelon(m)
-    return sign * m[-1][-1]  # 0 when a is singular: rows past the last pivot are zero
+    return _adjugate(a, 0)[0]
 
 
 class IntPolynomial(_Record):
@@ -547,11 +571,13 @@ def _local_valuations(rows: tuple[tuple[int, ...], ...], p: int, s: int) -> list
 
 
 def _certified_diagonal(a: IntMatrix) -> tuple[int, ...] | None:
-    """The Smith diagonal of a square nonsingular a from its determinant, a
-    few adjugate columns and local eliminations (see smith_diagonal); None
-    when a is singular or the certificate does not go through."""
+    """The Smith diagonal of a square nonsingular a, n >= 4, from its
+    determinant, _CYCLIC_PROBES adjugate columns and local eliminations (see
+    smith_diagonal); None when a is singular or the certificate does not go
+    through. Smaller inputs never get here: smith_diagonal reads their
+    determinantal divisors directly."""
     n = a.rows
-    d, probes = _adjugate(a, min(n, _CYCLIC_PROBES))
+    d, probes = _adjugate(a, _CYCLIC_PROBES)
     if not d:
         return None
     g = d
@@ -577,9 +603,15 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal of a, equal to smith_normal_form(a).diagonal(),
     computed without building the transforms u and v.
 
-    A square a is first tried by a certificate. The adjugate solve
-    _adjugate(a, k), k = min(n, _CYCLIC_PROBES), gives D = det a and, if
-    D != 0, the probes y = adj(a) e for e = e_(n-1), ..., e_(n-k); the check
+    A square a of size n <= 3 reads it off its determinantal divisors, D_k
+    the gcd of the k-minors (D_0 = 1): d_k = D_k / D_(k-1), and once some
+    D_k = 0, d_k and every later entry are 0. Up to 3x3, D_1 (the entries),
+    D_(n-1) (the cofactors, _cofactors) and D_n = |det a| are all of them,
+    which is why the cut sits at 3; no certificate and no elimination run.
+
+    A larger square a is first tried by a certificate. The adjugate solve
+    _adjugate(a, _CYCLIC_PROBES) gives D = det a and, if D != 0, the probes
+    y = adj(a) e for e = e_(n-1), ..., e_(n-4); the check
     a @ y == D e is made before y is used. Each entry of y is an
     (n-1)-minor of a, so d_1 ... d_(n-1), the gcd of all (n-1)-minors,
     divides every entry of y and divides D = +-d_1 ... d_n. The probes stop
@@ -596,8 +628,14 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     division up to _TRIAL_DIVISION_BOUND cannot reach, run the Smith
     elimination `_smith`.
     """
-    if a.is_square and (diag := _certified_diagonal(a)):
-        return diag
+    if a.is_square:
+        if (n := a.rows) <= 3:
+            d, c = _cofactors(a.entries)
+            gcds = (1, math.gcd(*map(math.gcd, *a.entries)), math.gcd(*map(math.gcd, *c)))
+            divisors = gcds[:n] + (abs(d),)  # D_0, ..., D_n
+            return tuple(y // x if x else 0 for x, y in zip(divisors, divisors[1:]))
+        if diag := _certified_diagonal(a):
+            return diag
     d = a.to_lists()
     _smith(d, *a.shape)
     return tuple(d[i][i] for i in range(min(a.shape)))

@@ -550,35 +550,48 @@ def test_smith_diagonal_at_report_scale():
 
 def test_smith_diagonal_certifies_nonsingular_squares_without_elimination(monkeypatch):
     calls = []
-    smith = intmat._smith
-    monkeypatch.setattr(intmat, "_smith", lambda *args: calls.append(1) or smith(*args))
+    for name in ("_smith", "_echelon"):
+        inner = getattr(intmat, name)
+        monkeypatch.setattr(
+            intmat, name, lambda *args, name=name, inner=inner: calls.append(name) or inner(*args)
+        )
 
-    def eliminations(a):
+    def kernels(a):
+        """The eliminations smith_diagonal(a) runs, its result checked."""
         calls.clear()
         diag = smith_diagonal(a)
+        made = calls.copy()
         assert diag == smith_normal_form(a).diagonal()
-        return len(calls) - 1  # less the reference call from smith_normal_form
+        return made
 
-    # I - A^t for A = [[3, 1], [1, 0]] has diagonal (1, 3): no elimination
+    # up to 3x3 the determinantal divisors give the diagonal with neither
+    # kernel: I - A^t for A = [[3, 1], [1, 0]] (diagonal (1, 3)), a non-cyclic
+    # 3x3, a prime beyond the trial division, singular and 1x1 inputs
     assert smith_diagonal(IntMatrix([[-2, -1], [-1, 1]])) == (1, 3)
-    assert eliminations(IntMatrix([[-2, -1], [-1, 1]])) == 0
-    assert eliminations(_dense(48, 48)) == 0
+    rng = random.Random(50)
+    for a in (IntMatrix([[-2, -1], [-1, 1]]), _mixed_diagonal(rng, (2, 2, 6)),
+              IntMatrix.diagonal((2**31 - 1, 2**31 - 1)), IntMatrix([[1, 2], [2, 4]]),
+              IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), IntMatrix([[-7]]), IntMatrix([[0]])):
+        assert kernels(a) == [], a
+    # from 4x4 up: one adjugate solve certifies the diagonal, no elimination
+    assert kernels(_dense(48, 48)) == ["_echelon"]
     # every adjugate probe of diag(2, 1, 1, 1, 1) is even; one elimination
     # mod 2 shows that 2 divides only the last diagonal entry
-    assert eliminations(IntMatrix.diagonal((2, 1, 1, 1, 1))) == 0
-    rng = random.Random(50)
-    assert eliminations(_mixed_diagonal(rng, (2, 2, 6))) == 0
-    assert eliminations(_mixed_diagonal(rng, (2, 4, 72, 1080))) == 0
+    assert kernels(IntMatrix.diagonal((2, 1, 1, 1, 1))) == ["_echelon"]
+    assert kernels(_mixed_diagonal(rng, (2, 4, 72, 1080))) == ["_echelon"]
+    assert kernels(_mixed_diagonal(rng, (2, 2, 6, 6))) == ["_echelon"]
     # the probes leave g = 2^31 - 1, a prime beyond the trial division
-    assert eliminations(IntMatrix.diagonal((2**31 - 1, 2**31 - 1))) == 1
-    assert eliminations(IntMatrix([[1, 2], [2, 4]])) == 1
-    assert eliminations(IntMatrix([[1, 2, 3], [4, 5, 6]])) == 1
+    assert kernels(IntMatrix.diagonal((1, 1, 2**31 - 1, 2**31 - 1))) == ["_echelon", "_smith"]
+    singular = IntMatrix([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 0, 0]])
+    assert kernels(singular) == ["_echelon", "_smith"]
+    assert kernels(IntMatrix([[1, 2, 3], [4, 5, 6]])) == ["_smith"]
 
 
 def test_smith_diagonal_rejects_a_wrong_certificate(monkeypatch):
     # with the last transformed probe entry set to 1, back-substitution gives
     # y_(n-1) = 1, whose gcd with det(a) is 1 whatever a is; the check
-    # a @ y == det(a) e must reject it, or diag(2, 2) would read (1, 4)
+    # a @ y == det(a) e must reject it, or diag(1, 1, 2, 2) would read
+    # (1, 1, 1, 4). Only inputs from 4x4 up run the certificate.
     echelon = intmat._echelon
 
     def corrupted(m):
@@ -587,9 +600,9 @@ def test_smith_diagonal_rejects_a_wrong_certificate(monkeypatch):
         return result
 
     monkeypatch.setattr(intmat, "_echelon", corrupted)
-    assert smith_diagonal(IntMatrix.diagonal((2, 2))) == (2, 2)
-    a = _mixed_diagonal(random.Random(49), (2, 2, 6))
-    assert smith_diagonal(a) == (2, 2, 6)
+    assert smith_diagonal(IntMatrix.diagonal((1, 1, 2, 2))) == (1, 1, 2, 2)
+    a = _mixed_diagonal(random.Random(49), (2, 2, 6, 6))
+    assert smith_diagonal(a) == (2, 2, 6, 6)
 
 
 def test_smith_transforms_at_report_scale():
@@ -687,3 +700,36 @@ def test_adjugate_matches_cofactor_oracle():
         seen["unimodular"] += d in (1, -1)
         seen["swap"] += d != 0 and _echelon([row[:] for row in rows])[1] == -1
     assert min(seen.values()) >= 20, seen
+
+
+def test_small_squares_match_cofactor_and_smith_oracles(monkeypatch):
+    """Every square matrix of size 1, 2 or 3 with entries in {-1, 0, 1}, and
+    the same matrices times 2: det, the adjugate, the Smith diagonal and the
+    unimodular inverse come from the explicit cofactors, with no Bareiss
+    elimination, and agree with the cofactor oracle and with _smith."""
+    from ckbundle.intmat import _adjugate
+
+    monkeypatch.setattr(intmat, "_echelon", None)  # calling it fails the test
+    seen = {"singular": 0, "unimodular": 0, "non-cyclic": 0}
+    for n in (1, 2, 3):
+        identity = IntMatrix.identity(n)
+        for flat in product((-1, 0, 1), repeat=n * n):
+            for scale in (1, 2):
+                rows = [[scale * x for x in flat[i : i + n]] for i in range(0, n * n, n)]
+                a = IntMatrix(rows)
+                d = det_cofactor(rows)
+                assert det(a) == d, rows
+                got, columns = _adjugate(a, n)
+                assert got == d
+                expected = [_cofactor_column(rows, n - 1 - j) for j in range(n)] if d else []
+                assert list(columns) == expected, rows
+                m = [row[:] for row in rows]
+                intmat._smith(m, n, n)
+                diag = smith_diagonal(a)
+                assert diag == tuple(m[i][i] for i in range(n)), rows
+                if d in (1, -1):
+                    assert unimodular_inverse(a) @ a == identity
+                seen["singular"] += d == 0
+                seen["unimodular"] += d in (1, -1)
+                seen["non-cyclic"] += n > 1 and diag[-2] > 1
+    assert min(seen.values()) >= 1000, seen
