@@ -157,9 +157,10 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
         irreducible, primitive = p is not None, p == 1
     except ck.NotNonnegative:
         irreducible = primitive = None
+    t = trace(m)
     normalized = h_1 = alexander = thm1 = None
     if d in (1, -1):
-        normalized = bundle.normalize_monodromy(m).flipped
+        normalized = t < 0  # normalize_monodromy's flip rule
         # H1 = Z + coker(A - I), and A - I has K0's Smith diagonal (that of
         # I - A^t, up to transpose and sign), so Theorem 1 holds by construction
         h_1, thm1 = bundle._z_plus(k0), True
@@ -175,7 +176,7 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
         InvariantReport(
             matrix=m,
             det=d,
-            trace=trace(m),
+            trace=t,
             normalized=normalized,
             k0=k0,
             k1=FgAbelianGroup.free(k0.free_rank),

@@ -142,12 +142,15 @@ def search_se_witness(
     row-major order; returns the first verified witness or None. An empty
     result is not a proof of non-equivalence (see se_obstruction for that).
 
-    For square a and b of one size with det a != 0, only the r side is
-    enumerated: r@s = a^lag forces r to be nonsingular, and s = r^-1 @ a^lag,
-    its one candidate, satisfies b@s = s@a and s@r = b^lag since
-    b = r^-1 @ a @ r (_solve_se_witness). Otherwise each pair's r@s is
-    compared with a^lag one row at a time, and s@r is formed only when every
-    row matched.
+    One lag loop tries each r in order, and how r finds its partner s is
+    decided once per search. For square a and b of one size with det a != 0,
+    r@s = a^lag forces r to be nonsingular, and s = r^-1 @ a^lag is its one
+    candidate: it satisfies b@s = s@a and s@r = b^lag since b = r^-1 @ a @ r.
+    So s is solved, not enumerated, from adj r = d·r^-1 (d = det r), made
+    when lag 1 reaches r and kept; a singular r is skipped. Otherwise b's
+    intertwiners are enumerated once (the r side itself when a = b) and
+    scanned: each r@s is compared with a^lag one row at a time, and s@r is
+    formed only when every row matched.
 
     Raises ValueError before enumerating when either side would have more
     than MAX_SE_CANDIDATES candidates; for square a and b of one size the
@@ -155,55 +158,38 @@ def search_se_witness(
     """
     _check_se_search(a, b, max_lag, entry_bound)
     rs = _intertwiners(a, b, entry_bound)
-    if a.rows == b.rows and det(a):
-        return _solve_se_witness(a, rs, max_lag, entry_bound)
-    ss = rs if a == b else _intertwiners(b, a, entry_bound)
-    s_cols = [(s, tuple(zip(*s.entries))) for s in ss]
-    a_pow, b_pow = a, b
+    solve = a.rows == b.rows and det(a) != 0
+    if solve:
+        adjugates: list[tuple[int, tuple]] = []  # per r: d and the rows of adj r
+    else:
+        ss = rs if a == b else _intertwiners(b, a, entry_bound)
+        s_cols = [(s, tuple(zip(*s.entries))) for s in ss]
     for lag in range(1, max_lag + 1):
-        if lag > 1:
-            a_pow, b_pow = matmul(a_pow, a), matmul(b_pow, b)
-        want = [list(row) for row in a_pow.entries]
-        for r in rs:
-            for s, cols in s_cols:
-                for row, target in zip(r.entries, want):
-                    if [sum(map(mul, row, col)) for col in cols] != target:
-                        break
-                else:
-                    if matmul(s, r) == b_pow:
-                        return SEWitness(r, s, lag)
+        a_pow = a if lag == 1 else matmul(a_pow, a)
+        if solve:
+            a_cols = tuple(zip(*a_pow.entries))
+            for i, r in enumerate(rs):
+                if lag == 1:
+                    # one adjugate solve per r, whose columns come last first
+                    d, columns = _adjugate(r, r.rows)
+                    adjugates.append((d, tuple(zip(*[*columns][::-1]))))
+                d, adj_rows = adjugates[i]
+                if d:
+                    s = _divide_in_box(adj_rows, a_cols, d, entry_bound)
+                    if s is not None:
+                        return SEWitness(r, IntMatrix._wrap(s), lag)
+        else:
+            b_pow = b if lag == 1 else matmul(b_pow, b)
+            want = [list(row) for row in a_pow.entries]
+            for r in rs:
+                for s, cols in s_cols:
+                    for row, target in zip(r.entries, want):
+                        if [sum(map(mul, row, col)) for col in cols] != target:
+                            break
+                    else:
+                        if matmul(s, r) == b_pow:
+                            return SEWitness(r, s, lag)
     return None
-
-
-def _solve_se_witness(
-    a: IntMatrix, rs: list[IntMatrix], max_lag: int, bound: int
-) -> SEWitness | None:
-    """Per lag, the first r of rs whose s = r^-1 @ a^lag is an integer
-    matrix in [0, bound]. Each r's adj r = d·r^-1 (d = det r) is made when
-    the first lag reaches r and kept; a lag then costs one product per r,
-    cut at the first entry of s that fails."""
-    solved: list[tuple[IntMatrix, int, tuple]] = []  # filled by the first lag
-    a_pow = a
-    for lag in range(1, max_lag + 1):
-        if lag > 1:
-            a_pow = matmul(a_pow, a)
-        cols = tuple(zip(*a_pow.entries))
-        for r, d, inv_rows in _nonsingular(rs, solved) if lag == 1 else solved:
-            s = _divide_in_box(inv_rows, cols, d, bound)
-            if s is not None:
-                return SEWitness(r, IntMatrix._wrap(s), lag)
-    return None
-
-
-def _nonsingular(rs: list[IntMatrix], solved: list) -> Iterator[tuple[IntMatrix, int, tuple]]:
-    """(r, d, rows of adj r), d = det r, for each nonsingular r, each also
-    appended to solved: one adjugate solve per r (intmat._adjugate), whose
-    columns come last first."""
-    for r in rs:
-        d, columns = _adjugate(r, r.rows)
-        if d:
-            solved.append((r, d, tuple(zip(*[*columns][::-1]))))
-            yield solved[-1]
 
 
 def _divide_in_box(rows: tuple, cols: tuple, d: int, bound: int) -> tuple | None:

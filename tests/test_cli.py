@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import random
@@ -113,8 +115,6 @@ def test_cli_invariants_json_round_trip(tmp_path, capsys):
 
 
 def test_cli_invariants_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO('{"rows": [[1, 2], [0, 1]]}'))
     code = main(["invariants"])
     out = capsys.readouterr().out
@@ -327,6 +327,34 @@ def test_cli_closed_pipe_is_silent(tmp_path):
         proc.stdout.close()
         _, err = proc.communicate(A2_TEXT.encode(), timeout=30)
         assert (proc.returncode, err) == (status, b"")
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: write, or only flush, raises ENOSPC."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_cli_write_error_exits_3(tmp_path, capsys, monkeypatch, failing):
+    # unlike a closed pipe, a stdout that cannot take the output is an
+    # error: one diagnostic line and exit 3
+    path = _write(tmp_path, "a2.txt", A2_TEXT)
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    assert main(["invariants", "--input", path]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: [Errno {errno.ENOSPC}] No space left on device"]
 
 
 FORMAT_HELP = ["--format {text,json,json-like}", "output format (json-like is an alias for json)"]
@@ -581,13 +609,12 @@ def test_report_h1_equals_independent_h1():
         report, _ = build_report(m)
         b = make_bundle(m)
         assert report.h1 == bundle.h1(b), m
+        assert report.normalized is bundle.normalize_monodromy(m).flipped, m
         assert report.theorem1_check is True
         assert bundle.theorem1_check(b), m
 
 
 def test_deeply_nested_json_is_a_parse_error(capsys, monkeypatch):
-    import io
-
     depth = 200_000
     text = '{"rows": ' + "[" * depth + "]" * depth + "}"
     with pytest.raises(ParseError, match="^invalid JSON: "):
@@ -600,8 +627,6 @@ def test_deeply_nested_json_is_a_parse_error(capsys, monkeypatch):
 
 
 def test_json_non_integer_entry_is_named_not_echoed(capsys, monkeypatch):
-    import io
-
     text = '{"rows": [[1], [[' + ", ".join(["1"] * 100_000) + "]]]}"
     with pytest.raises(ParseError, match="^row 2: list entry is not an integer$"):
         parse_matrix(text)
@@ -622,8 +647,6 @@ def test_json_non_integer_entry_is_named_not_echoed(capsys, monkeypatch):
 
 
 def test_text_non_integer_token_is_measured_not_echoed(capsys, monkeypatch):
-    import io
-
     text = "1 " + "x" * 300_000
     with pytest.raises(ParseError, match="^line 1: token of 300000 characters is not an integer$"):
         parse_matrix(text)

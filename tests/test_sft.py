@@ -610,6 +610,45 @@ def test_fingerprint_keeps_the_first_hit():
         assert result.conjugator.to_lists() == expected
 
 
+def test_full_test_of_every_word_changes_no_output(monkeypatch):
+    # the fingerprint only filters: with all-zero coefficients every word
+    # takes the full test, which must then reject each non-conjugator
+    # (_conjugates returns False) and leave every output as it was
+    from ckbundle import sft
+
+    rng = random.Random(59)
+    pairs = []
+    for n in (2, 3):
+        for depth in range(5):
+            for _ in range(6):
+                a = random_unimodular(n, rng.randint(1, 6), rng)
+                u = random_unimodular(n, rng.randint(0, depth + 2), rng)
+                pairs.append((a, conjugate(a, u), depth))
+            pairs.append((random_unimodular(n, 4, rng), random_unimodular(n, 4, rng), depth))
+
+    def outputs():
+        return [
+            (conjugacy_search(a, b, d), compare_bundles(make_bundle(a), make_bundle(b), d))
+            for a, b, d in pairs
+        ]
+
+    expected = outputs()
+    rejected = []
+    conjugates = sft._conjugates
+
+    def recording(*args):
+        result = conjugates(*args)
+        rejected.append(not result)
+        return result
+
+    monkeypatch.setattr(sft, "_fingerprint", lambda a, b: [0] * a.rows**2)
+    monkeypatch.setattr(sft, "_conjugates", recording)
+    assert outputs() == expected
+    assert sum(rejected) > 100
+    assert {r.status for r, _ in expected} == set(ConjugacyStatus)
+    assert {v.outcome for _, v in expected} == set(Outcome)
+
+
 def test_conjugacy_search_unknown_work_is_bounded(monkeypatch):
     # a benchmark-style pair: a 3x3 word conjugated by a word of length 24;
     # the unsplit walk multiplies 32,069 times over all 6,338 words of
