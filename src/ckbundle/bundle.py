@@ -67,10 +67,15 @@ def _monodromy(a: IntMatrix) -> sft._Profile:
     return profile
 
 
+def _flips(t: int) -> bool:
+    """Whether normalize_monodromy flips a monodromy of trace t."""
+    return t < 0
+
+
 def normalize_monodromy(a: IntMatrix) -> NormalizedMonodromy:
     """Flip the global sign exactly when the trace is negative; trace zero
     keeps the given sign."""
-    if trace(a) < 0:
+    if _flips(trace(a)):
         return NormalizedMonodromy(-a, flipped=True)
     return NormalizedMonodromy(a, flipped=False)
 
@@ -126,9 +131,7 @@ def ck_functor(a: IntMatrix) -> CKFunctorImage:
     then read off K0 and K1."""
     normalized = normalize_monodromy(a)
     k0 = ck.k0(normalized.matrix)
-    return CKFunctorImage(
-        normalized=normalized, k0=k0, k1=FgAbelianGroup.free(k0.free_rank)
-    )
+    return CKFunctorImage(normalized=normalized, k0=k0, k1=ck._k1_of(k0))
 
 
 def theorem1_check(a: IntMatrix) -> bool:
@@ -183,8 +186,8 @@ def compare_bundles(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Compar
         raise ValueError(f"cannot compare bundles of fiber dimension {a.rows} and {b.rows}")
     sft._require_depth(search_depth)
     rungs = [("H1", lambda side: _z_plus(side.k0)), ("det", attrgetter("det"))]
-    flipped = trace(a) < 0  # normalize_monodromy's flip rule
-    if flipped == (trace(b) < 0):
+    flipped = _flips(trace(a))
+    if flipped == _flips(trace(b)):
         # the images are both raw monodromies or both sign-flipped
         rungs.insert(0, ("K0", lambda side: ck.k0(-side.matrix) if flipped else side.k0))
     difference = sft._first_difference(p, q, rungs)

@@ -78,10 +78,15 @@ def k0(a: IntMatrix) -> FgAbelianGroup:
 
 
 def k1(a: IntMatrix) -> FgAbelianGroup:
-    """K1 invariant: the kernel of (I - a^t), free of the rank of K0's free
-    part (rank-nullity on the one Smith form of I - a^t)."""
+    """K1 invariant: the kernel of (I - a^t)."""
     _require_square(a, "k1")
-    return FgAbelianGroup.free(k0(a).free_rank)
+    return _k1_of(k0(a))
+
+
+def _k1_of(group: FgAbelianGroup) -> FgAbelianGroup:
+    """K1 of a matrix whose K0 is group: free of the rank of K0's free part,
+    by rank-nullity on the one Smith form of I - a^t."""
+    return FgAbelianGroup.free(group.free_rank)
 
 
 def bowen_franks(a: IntMatrix) -> FgAbelianGroup:

@@ -160,7 +160,7 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
     t = trace(m)
     normalized = h_1 = alexander = thm1 = None
     if d in (1, -1):
-        normalized = t < 0  # normalize_monodromy's flip rule
+        normalized = bundle._flips(t)
         # H1 = Z + coker(A - I), and A - I has K0's Smith diagonal (that of
         # I - A^t, up to transpose and sign), so Theorem 1 holds by construction
         h_1, thm1 = bundle._z_plus(k0), True
@@ -179,7 +179,7 @@ def build_report(m: IntMatrix) -> tuple[InvariantReport, list[str]]:
             trace=t,
             normalized=normalized,
             k0=k0,
-            k1=FgAbelianGroup.free(k0.free_rank),
+            k1=ck._k1_of(k0),
             # coker(I - A) and coker(I - A^t) share one Smith diagonal
             bowen_franks=k0,
             h1=h_1,

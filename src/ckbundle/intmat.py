@@ -322,6 +322,12 @@ def _adjugate(a: IntMatrix, k: int) -> tuple[int, Iterator[list[int]]]:
     return d, (_back_substitute(m, d, c) for c in range(n, n + k) if d)
 
 
+def _adjugate_rows(a: IntMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det a, the rows of adj(a)): _adjugate's columns, last first, read as rows."""
+    d, columns = _adjugate(a, a.rows)
+    return d, tuple(zip(*[*columns][::-1]))
+
+
 def det(a: IntMatrix) -> int:
     """Exact determinant, from _adjugate with no columns: explicit cofactor
     expansion up to 3x3, fraction-free (Bareiss) elimination above."""
@@ -653,6 +659,6 @@ def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant d = +/-1: d·adj(a)."""
     _require_square(a, "unimodular_inverse")
-    d, columns = _adjugate(a, a.rows)
+    d, rows = _adjugate_rows(a)
     _require_unimodular(d, "matrix")
-    return IntMatrix._wrap(tuple(tuple(d * x for x in row) for row in zip(*[*columns][::-1])))
+    return IntMatrix._wrap(tuple(tuple(d * x for x in row) for row in rows))

@@ -9,7 +9,6 @@ definitive.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, product
@@ -18,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import ck
 from .abelian import FgAbelianGroup
-from .intmat import IntMatrix, _adjugate, _echelon, _require_square, _require_unimodular
+from .intmat import IntMatrix, _adjugate_rows, _echelon, _require_square, _require_unimodular
 from .intmat import _Record, det, matmul, matpow, trace
 
 __all__ = [
@@ -170,9 +169,7 @@ def search_se_witness(
             a_cols = tuple(zip(*a_pow.entries))
             for i, r in enumerate(rs):
                 if lag == 1:
-                    # one adjugate solve per r, whose columns come last first
-                    d, columns = _adjugate(r, r.rows)
-                    adjugates.append((d, tuple(zip(*[*columns][::-1]))))
+                    adjugates.append(_adjugate_rows(r))
                 d, adj_rows = adjugates[i]
                 if d:
                     s = _divide_in_box(adj_rows, a_cols, d, entry_bound)
@@ -302,65 +299,28 @@ def _word_limit(n: int) -> int:
     return MAX_SEARCH_ENTRIES // (max(n, 3) ** 2 + 31)
 
 
-def _walk(n: int, max_length: int) -> Iterator[tuple[tuple, tuple, int, _Move | None]]:
-    """(word, inverse, parent index, move) for every product of at most
-    max_length elementary generators, deduplicated, breadth first from the
-    identity (parent -1, move None), each word and inverse a flat row-major
-    tuple. A word w extended by the generator g of a move is w @ g, the
-    move's column pairs applied to w, with inverse g^{-1} @ w^{-1}, its row
-    pairs applied to w^{-1}; its parent is w's index in this walk. Raises
-    ValueError before it would yield more than _word_limit(n) words."""
-    _require_depth(max_length)
-    ident = tuple(chain.from_iterable(IntMatrix.identity(n).entries))  # raises for n < 1
-    limit = _word_limit(n)
-    yield ident, ident, -1, None
-    seen = {ident}
-    frontier = [(0, ident, ident)]
-    moves = _elementary_moves(n)
-    for _ in range(max_length):
-        nxt = []
-        for parent, w, w_inv in frontier:
-            for move in moves:
-                s, columns, s_inv, rows = move
-                m = _apply(w, s, columns)
-                if m not in seen:
-                    if len(seen) == limit:
-                        raise ValueError(
-                            f"word search would walk more than the limit {limit}"
-                            f" words ({n}x{n}, length <= {max_length}); lower the search depth"
-                        )
-                    seen.add(m)
-                    m_inv = _apply(w_inv, s_inv, rows)
-                    nxt.append((len(seen) - 1, m, m_inv))  # m's index in the walk
-                    yield m, m_inv, parent, move
-        if not nxt:
-            return
-        frontier = nxt
-
-
 def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
     """(matrix, inverse) pairs for all products of at most max_length
     elementary generators, deduplicated, in breadth-first order starting from
     the identity. The order is deterministic, so "first hit" semantics are
     reproducible. Each word is its parent word times one generator, a column
-    operation (its inverse a row operation). The walk is lazy: a caller that
-    stops early builds no further word. conjugacy_search reads the same walk
-    through _ball_words, which keeps it as a ball once it has run to its end.
-    Raises ValueError instead of walking past the budget MAX_SEARCH_ENTRIES
-    (see _walk)."""
-    for w, w_inv, _, _ in _walk(n, max_length):
+    operation (its inverse a row operation). They are read from _ball_words,
+    the walk conjugacy_search shares: a caller that stops early builds no
+    further word. Raises ValueError instead of walking past the budget
+    MAX_SEARCH_ENTRIES."""
+    for w, w_inv in _ball_words(n, max_length):
         yield _matrix(w, n), _matrix(w_inv, n)
 
 
 class _Ball(NamedTuple):
-    """The walk of unimodular_words(n, h) with its bookkeeping: the words of
+    """The walk of _ball_words(n, h) with its bookkeeping: the words of
     length <= h in GL_n(Z)'s elementary generators, in walk order, as flat
     row-major tuples."""
 
     words: tuple[tuple[tuple, tuple], ...]  # (word, inverse)
     steps: tuple[tuple[int, _Move | None], ...]  # (parent index, move)
     inverse: tuple[int, ...]  # the index of each word's inverse
-    counts: tuple[int, ...]  # counts[k]: the number of words of length <= k
+    inner: int  # the number of words of length < h, where the last layer starts
 
     def conjugated(self, m: IntMatrix, count: int) -> Iterator[tuple[int, ...]]:
         """x^{-1} @ m @ x for the first count words x, lazily, each as a flat
@@ -381,29 +341,51 @@ _balls: dict[tuple[int, int], _Ball] = {}
 
 
 def _ball_words(n: int, h: int) -> Iterator[tuple[tuple, tuple]]:
-    """The flat (word, inverse) pairs of _walk(n, h), read from the cached
-    ball of shape (n, h). Without one they are walked lazily, and the ball is
-    cached only when the walk ends: a caller that stops at an early hit
-    builds no further word and caches nothing."""
+    """The (word, inverse) pairs of unimodular_words(n, h) as flat row-major
+    tuples, read from the cached ball of shape (n, h) if there is one.
+    Otherwise they are walked lazily: w extended by a move's generator g is
+    w @ g, the move's column pairs applied to w, with inverse g^{-1} @ w^{-1},
+    its row pairs applied to w^{-1}. One dict indexes the words, to drop
+    repeats and then to find each inverse; the frontier is the last layer's
+    index range. The walk stops at the first layer that adds no word and is
+    cached only when it ends: a caller that stops at an early hit builds no
+    further word and caches nothing. Raises ValueError before it would hold
+    more than _word_limit(n) words."""
     ball = _balls.get((n, h))
     if ball is not None:
         yield from ball.words
         return
-    words, steps, lengths = [], [], []
-    for w, w_inv, parent, move in _walk(n, h):
-        words.append((w, w_inv))
-        steps.append((parent, move))
-        lengths.append(0 if move is None else lengths[parent] + 1)
-        yield w, w_inv
-    index = {w: k for k, (w, _) in enumerate(words)}
+    _require_depth(h)
+    ident = tuple(chain.from_iterable(IntMatrix.identity(n).entries))  # raises for n < 1
+    limit = _word_limit(n)
+    yield ident, ident
+    words, steps, index = [(ident, ident)], [(-1, None)], {ident: 0}
+    moves = _elementary_moves(n)
+    inner = 0
+    for _ in range(h):
+        start, inner = inner, len(words)
+        for parent in range(start, inner):
+            w, w_inv = words[parent]
+            for move in moves:
+                s, columns, s_inv, rows = move
+                m = _apply(w, s, columns)
+                if m not in index:
+                    if len(words) == limit:
+                        raise ValueError(
+                            f"word search would walk more than the limit {limit}"
+                            f" words ({n}x{n}, length <= {h}); lower the search depth"
+                        )
+                    index[m] = len(words)
+                    m_inv = _apply(w_inv, s_inv, rows)
+                    words.append((m, m_inv))
+                    steps.append((parent, move))
+                    yield m, m_inv
+        if len(words) == inner:
+            break
     if len(_balls) == 8:
         del _balls[next(iter(_balls))]
-    _balls[n, h] = _Ball(
-        tuple(words),
-        tuple(steps),
-        tuple(index[w_inv] for _, w_inv in words),
-        tuple(bisect_right(lengths, k) for k in range(h + 1)),
-    )
+    inverse = tuple(index[w_inv] for _, w_inv in words)
+    _balls[n, h] = _Ball(tuple(words), tuple(steps), inverse, inner)
 
 
 class ConjugacyStatus(Enum):
@@ -488,11 +470,12 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     unsplit walk's first hit. When none meets, no word of length <=
     search_depth conjugates and the result is UNKNOWN.
 
-    The words of length <= h are walked lazily on the first search of an
-    n x n shape at that h; a hit there returns before the rest are built, and
-    only a walk that ends without one is cached as the shape's ball
-    (_ball_words). Words, their inverses and the conjugates x^{-1} @ m @ x
-    (m = a, b) are flat row-major tuples, each its parent's after one move
+    The words of length <= h are the walk of unimodular_words(n, h), walked
+    lazily by _ball_words on the first search of an n x n shape at that h; a
+    hit there returns before the rest are built, and only a walk that ends
+    without one is cached as the shape's ball, which unimodular_words(n, h)
+    reads too. Words, their inverses and the conjugates x^{-1} @ m @ x (m =
+    a, b) are flat row-major tuples, each its parent's after one move
     (_apply), and the meet compares these tuples. The first-hit scan tests a
     word u in full only when its fingerprint, a dot product of u with
     coefficients built once per search (_fingerprint), is zero, as it is for
@@ -531,8 +514,9 @@ def _search(p: _Profile, q: _Profile, search_depth: int) -> ConjugacyResult:
     # w @ a @ w^{-1} is x^{-1} @ a @ x at x = w^{-1}; reversed, so that each
     # key keeps the first w in walk order
     near_a = {x_a[ball.inverse[k]]: ball.words[k] for k in reversed(range(len(ball.words)))}
-    # the words v of length <= floor(search_depth / 2), a prefix of the ball
-    v_count = ball.counts[search_depth // 2]
+    # the words v of length <= floor(search_depth / 2), a prefix of the ball:
+    # all of it when search_depth = 2h, the words of length < h otherwise
+    v_count = ball.inner if search_depth % 2 else len(ball.words)
     for (v, v_inv), x_b in zip(ball.words, ball.conjugated(b, v_count)):
         met = near_a.get(x_b)
         if met is not None:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import chain
 from pathlib import Path
 
@@ -403,8 +404,9 @@ def _ball(n, h):
 
 
 def test_ball_is_the_word_walk():
-    # the cached ball is unimodular_words' walk with its bookkeeping: each
-    # word's inverse, the length counts, and conjugates by parent moves
+    # the cached ball is the breadth-first word walk with its bookkeeping:
+    # each word's inverse, where its last layer starts, and conjugates by
+    # parent moves; unimodular_words reads the same ball
     from ckbundle.sft import _ball_words, _matrix
 
     rng = random.Random(50)
@@ -413,12 +415,11 @@ def test_ball_is_the_word_walk():
             ball = _ball(n, h)
             words = list(unimodular_words(n, h))
             assert list(ball.words) == list(_ball_words(n, h))
+            assert [_matrix(w, n).entries for w, _ in ball.words] == list(words_by_bfs(n, h))
             assert [(_matrix(w, n), _matrix(w_inv, n)) for w, w_inv in ball.words] == words
             for k, (w, w_inv) in enumerate(ball.words):
                 assert ball.words[ball.inverse[k]] == (w_inv, w)
-            assert ball.counts == tuple(
-                sum(1 for _ in unimodular_words(n, k)) for k in range(h + 1)
-            )
+            assert ball.inner == (len(words_by_bfs(n, h - 1)) if h else 0)
             m = random_matrix(rng, n, n, -5, 5)
             conjugated = list(ball.conjugated(m, len(words)))
             assert conjugated == [
@@ -453,7 +454,7 @@ def test_conjugacy_search_reuses_the_ball(monkeypatch):
     a = random_unimodular(3, 6, rng)
     b = conjugate(a, random_unimodular(3, 24, rng))
     products, operations, walks = [], [], []
-    apply, walk = sft._apply, sft._walk
+    apply, moves = sft._apply, sft._elementary_moves
 
     def counting_matmul(x, y):
         products.append(None)
@@ -463,13 +464,13 @@ def test_conjugacy_search_reuses_the_ball(monkeypatch):
         operations.append(None)
         return apply(*args)
 
-    def counting_walk(*args):
+    def counting_moves(n):  # one call per walk
         walks.append(None)
-        return walk(*args)
+        return moves(n)
 
     monkeypatch.setattr(sft, "matmul", counting_matmul)
     monkeypatch.setattr(sft, "_apply", counting_apply)
-    monkeypatch.setattr(sft, "_walk", counting_walk)
+    monkeypatch.setattr(sft, "_elementary_moves", counting_moves)
     monkeypatch.setattr(sft, "_balls", {})
     for expected_operations in (182 + 133 + 2 * 266, 2 * 266):
         products.clear(), operations.clear()
@@ -765,7 +766,7 @@ def test_word_walk_stops_at_the_budget(monkeypatch):
     assert matmul(result.conjugator, a) == matmul(b, result.conjugator)
 
 
-def test_word_budget_exceeds_every_ball_built():
+def test_word_budget_exceeds_every_ball_built(monkeypatch):
     # the default search depth 4 walks the ball of length <= 2, and the
     # budget admits it at every size the CLI takes without a warning, the
     # largest being 12x12 (40,922 words); n <= 3 keeps 200,000 words
@@ -776,8 +777,17 @@ def test_word_budget_exceeds_every_ball_built():
         p = n * (n - 1)
         return 1 + (2 * p + 1) + 2 * p + 2 * p * (p - 2 * n + 2) + 4 * p * (2 * n - 3) + 2 * p
 
-    assert sum(1 for _ in sft._walk(6, 2)) == ball_size(6) == 2462
-    assert sum(1 for _ in sft._walk(12, 2)) == ball_size(12) == 40922 <= sft._word_limit(12)
+    walks, moves = [], sft._elementary_moves
+
+    def counting_moves(n):  # one call per walk
+        walks.append(n)
+        return moves(n)
+
+    monkeypatch.setattr(sft, "_elementary_moves", counting_moves)
+    monkeypatch.setattr(sft, "_balls", {})  # both balls are walked, then dropped
+    assert sum(1 for _ in sft._ball_words(6, 2)) == ball_size(6) == 2462
+    assert sum(1 for _ in sft._ball_words(12, 2)) == ball_size(12) == 40922 <= sft._word_limit(12)
+    assert walks == [6, 12]
     for n in range(2, SIZE_WARNING_THRESHOLD + 1):
         assert ball_size(n) <= sft._word_limit(n)
     assert [sft._word_limit(n) for n in (1, 2, 3)] == [200_000] * 3
@@ -857,3 +867,7 @@ def test_negative_search_bounds_rejected():
     with pytest.raises(ValueError, match="entry_bound"):
         search_se_witness(A2, A2, entry_bound=-1)
     assert [u for u, _ in unimodular_words(2, 0)] == [IntMatrix.identity(2)]
+    # the walk stops at the first layer that adds no word, whatever the bound
+    start = time.perf_counter()
+    assert [u for u, _ in unimodular_words(1, 10**9)] == [IntMatrix([[1]]), IntMatrix([[-1]])]
+    assert time.perf_counter() - start < 1
