@@ -23,17 +23,16 @@ class ParseError(ValueError):
 
 
 def _integer(token: str, where: str) -> int:
-    """int(token, 10), or a ParseError that starts with where and measures
-    the token instead of echoing it."""
+    """The integer of an ASCII token [+-]?[0-9]+, or a ParseError that starts
+    with where and measures the token instead of echoing it."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{where}: token of {len(token)} characters is not an integer")
     try:
-        return int(token, 10)
-    except ValueError:
-        digits = token.lstrip("+-").replace("_", "")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        if digits.isdecimal() and 0 < limit < len(digits):
-            message = f"integer of {len(digits)} digits exceeds the limit of {limit} digits"
-        else:
-            message = f"token of {len(token)} characters is not an integer"
+        return int(token)
+    except ValueError:  # only past the interpreter's decimal-conversion limit
+        limit = sys.get_int_max_str_digits()
+        message = f"integer of {len(digits)} digits exceeds the limit of {limit} digits"
         raise ParseError(f"{where}: {message}") from None
 
 
@@ -223,6 +222,13 @@ def _read_matrix(path: str) -> IntMatrix:
     return m
 
 
+def _read_pair(args) -> tuple[IntMatrix, IntMatrix]:
+    """matrix_a and matrix_b; stdin holds one matrix, so at most one is -."""
+    if args.matrix_a == args.matrix_b == "-":
+        raise ValueError("only one of the two matrices can be read from stdin (-)")
+    return _read_matrix(args.matrix_a), _read_matrix(args.matrix_b)
+
+
 def _cmd_invariants(args) -> tuple[dict, str, int]:
     report, warnings = build_report(_read_matrix(args.input))
     for w in warnings:
@@ -231,9 +237,7 @@ def _cmd_invariants(args) -> tuple[dict, str, int]:
 
 
 def _cmd_compare(args) -> tuple[dict, str, int]:
-    verdict = bundle.compare_bundles(
-        _read_matrix(args.matrix_a), _read_matrix(args.matrix_b), search_depth=args.depth
-    )
+    verdict = bundle.compare_bundles(*_read_pair(args), search_depth=args.depth)
     obj = {
         "verdict": verdict.outcome.value,
         "witness": verdict.witness,
@@ -275,8 +279,7 @@ def _cmd_dilate(args) -> tuple[dict, str, int]:
 
 
 def _cmd_se_search(args) -> tuple[dict, str, int]:
-    a = _read_matrix(args.matrix_a)
-    b = _read_matrix(args.matrix_b)
+    a, b = _read_pair(args)
     sft._check_se_search(a, b, args.max_lag, args.entry_bound)
     # a verified witness rules out an obstruction, so search only without one
     obstruction = sft.se_obstruction(a, b)
@@ -303,9 +306,7 @@ def _cmd_se_search(args) -> tuple[dict, str, int]:
 
 
 def _cmd_conj_search(args) -> tuple[dict, str, int]:
-    a = _read_matrix(args.matrix_a)
-    b = _read_matrix(args.matrix_b)
-    result = sft.conjugacy_search(a, b, search_depth=args.depth)
+    result = sft.conjugacy_search(*_read_pair(args), search_depth=args.depth)
     obj = {
         "status": result.status.value,
         "conjugator": _to_json(result.conjugator),

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, product
 from operator import attrgetter, mul
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import ck
 from .abelian import FgAbelianGroup
@@ -39,17 +39,17 @@ __all__ = [
 # default entry bound 6, while a scalar 3x3 matrix (7^9 there) is refused.
 MAX_SE_CANDIDATES = 7**6
 
-# Most entries the word walk stores. Each n x n word is charged
-# max(n, 3)^2 + 31 entries (_word_limit); the clamp and the 31 are fitted,
-# not measured, so that the walk keeps exactly 200,000 words at n <= 3 and
-# admits the whole ball of the default search depth 4 (h = 2) at every
-# n <= 12, the largest size the CLI takes without a warning: 40,922 words
-# at n = 12 against a limit of 45,714. Measured with `compare` on a
-# conjugate pair that no short word relates (2 shared vCPUs, peak RSS):
+# Most entries one word walk stores, and most the cached balls hold in all.
+# Each n x n word is charged max(n, 3)^2 + 31 entries (_word_charge); the clamp
+# and the 31 are fitted, not measured, so that the walk keeps exactly 200,000
+# words at n <= 3 and admits the whole ball of the default search depth 4
+# (h = 2) at every n <= 12, the largest size the CLI takes without a warning:
+# 40,922 words at n = 12 against a limit of 45,714. Measured with `compare` on
+# a conjugate pair that no short word relates (2 shared vCPUs, peak RSS):
 # 200,000 3x3 words (depth 16) in about 1 s and 115 MB; the full 12x12 default
-# search in 2.4 s and 226 MB; a 20x20 one exits 3 at its limit of 18,561
-# words after 3.8 s and 139 MB. A depth-12 3x3 search that walks all
-# 184,609 words of length <= 6 takes 2-3 s and about 200 MB.
+# search in 2.4 s and 226 MB; a 20x20 one exits 3 at its limit of 18,561 words
+# after 3.8 s and 139 MB. A depth-12 3x3 search that walks all 184,609 words
+# of length <= 6 takes 2-3 s and about 200 MB.
 MAX_SEARCH_ENTRIES = 8_000_000
 
 
@@ -145,11 +145,11 @@ def search_se_witness(
     decided once per search. For square a and b of one size with det a != 0,
     r@s = a^lag forces r to be nonsingular, and s = r^-1 @ a^lag is its one
     candidate: it satisfies b@s = s@a and s@r = b^lag since b = r^-1 @ a @ r.
-    So s is solved, not enumerated, from adj r = d·r^-1 (d = det r), made
-    when lag 1 reaches r and kept; a singular r is skipped. Otherwise b's
-    intertwiners are enumerated once (the r side itself when a = b) and
-    scanned: each r@s is compared with a^lag one row at a time, and s@r is
-    formed only when every row matched.
+    So s is solved, not enumerated, from adj r = d·r^-1 (d = det r), made when
+    lag 1 reaches r and kept; a singular r is skipped, and if every r is, the
+    search ends after lag 1. Otherwise b's intertwiners are enumerated once
+    (the r side itself when a = b) and scanned: each r@s is compared with a^lag
+    one row at a time, and s@r is formed only when every row matched.
 
     Raises ValueError before enumerating when either side would have more
     than MAX_SE_CANDIDATES candidates; for square a and b of one size the
@@ -175,6 +175,8 @@ def search_se_witness(
                     s = _divide_in_box(adj_rows, a_cols, d, entry_bound)
                     if s is not None:
                         return SEWitness(r, IntMatrix._wrap(s), lag)
+            if not any(d for d, _ in adjugates):
+                return None  # no r is nonsingular, so no lag pairs one
         else:
             b_pow = b if lag == 1 else matmul(b_pow, b)
             want = [list(row) for row in a_pow.entries]
@@ -217,7 +219,7 @@ def _check_se_search(a: IntMatrix, b: IntMatrix, max_lag: int, entry_bound: int)
         raise ValueError(f"entry_bound must be >= 0, got {entry_bound}")
 
 
-def _first_difference(a: object, b: object, rungs: list[tuple[str, Callable]]) -> str | None:
+def _first_difference(a: object, b: object, rungs: Iterable[tuple[str, Callable]]) -> str | None:
     """Walk (name, invariant) rungs, cheapest first, and name the first
     invariant on which a and b differ, or return None."""
     for name, invariant in rungs:
@@ -293,10 +295,13 @@ def _require_depth(depth: int) -> None:
         raise ValueError(f"search depth must be >= 0, got {depth}")
 
 
+def _word_charge(n: int) -> int:
+    return max(n, 3) ** 2 + 31
+
+
 def _word_limit(n: int) -> int:
-    """The most n x n words the walk may store: MAX_SEARCH_ENTRIES with each
-    word charged max(n, 3)^2 + 31 entries."""
-    return MAX_SEARCH_ENTRIES // (max(n, 3) ** 2 + 31)
+    """The most n x n words one walk may store within MAX_SEARCH_ENTRIES."""
+    return MAX_SEARCH_ENTRIES // _word_charge(n)
 
 
 def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
@@ -334,10 +339,7 @@ class _Ball(NamedTuple):
             yield values[-1]
 
 
-# at most 8 balls per process, the oldest dropped first: comparing 2x2 and
-# 3x3 bundles at the default depth needs two, and the largest ball at that
-# depth for a size without a CLI warning, 12x12 at h = 2, holds 40,922 words
-_balls: dict[tuple[int, int], _Ball] = {}
+_balls: dict[tuple[int, int], _Ball] = {}  # by (n, h), oldest first
 
 
 def _ball_words(n: int, h: int) -> Iterator[tuple[tuple, tuple]]:
@@ -350,7 +352,8 @@ def _ball_words(n: int, h: int) -> Iterator[tuple[tuple, tuple]]:
     index range. The walk stops at the first layer that adds no word and is
     cached only when it ends: a caller that stops at an early hit builds no
     further word and caches nothing. Raises ValueError before it would hold
-    more than _word_limit(n) words."""
+    more than _word_limit(n) words. The cache keeps the newest balls whose
+    words, charged as in the walk, fit MAX_SEARCH_ENTRIES together."""
     ball = _balls.get((n, h))
     if ball is not None:
         yield from ball.words
@@ -382,10 +385,11 @@ def _ball_words(n: int, h: int) -> Iterator[tuple[tuple, tuple]]:
                     yield m, m_inv
         if len(words) == inner:
             break
-    if len(_balls) == 8:
-        del _balls[next(iter(_balls))]
     inverse = tuple(index[w_inv] for _, w_inv in words)
+    _balls.pop((n, h), None)  # a shape walked twice at once
     _balls[n, h] = _Ball(tuple(words), tuple(steps), inverse, inner)
+    while sum(len(b.words) * _word_charge(m) for (m, _), b in _balls.items()) > MAX_SEARCH_ENTRIES:
+        del _balls[next(iter(_balls))]
 
 
 class ConjugacyStatus(Enum):
@@ -436,21 +440,16 @@ class _Profile:
         return ck.k0(self.matrix)
 
 
+_CONJUGACY_RUNGS = (
+    ("determinants differ", attrgetter("det")),
+    ("trace sequences differ", attrgetter("traces")),
+    ("K0 groups differ", attrgetter("k0")),
+)
+
+
 def conjugacy_obstruction(a: IntMatrix, b: IntMatrix) -> str | None:
     """Definitive proof that a and b are not similar in GL_n(Z), or None."""
-    return _obstruction(_Profile(a), _Profile(b))
-
-
-def _obstruction(p: _Profile, q: _Profile) -> str | None:
-    return _first_difference(
-        p,
-        q,
-        [
-            ("determinants differ", attrgetter("det")),
-            ("trace sequences differ", attrgetter("traces")),
-            ("K0 groups differ", attrgetter("k0")),
-        ],
-    )
+    return _first_difference(_Profile(a), _Profile(b), _CONJUGACY_RUNGS)
 
 
 def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> ConjugacyResult:
@@ -498,7 +497,7 @@ def _search(p: _Profile, q: _Profile, search_depth: int) -> ConjugacyResult:
         raise ValueError(f"conjugacy needs equal square shapes, got {a.shape} and {b.shape}")
     _require_depth(search_depth)
     _require_unimodular(p.det, "a"), _require_unimodular(q.det, "b")
-    obstruction = _obstruction(p, q)
+    obstruction = _first_difference(p, q, _CONJUGACY_RUNGS)
     if obstruction is not None:
         return ConjugacyResult(ConjugacyStatus.NOT_CONJUGATE, obstruction=obstruction)
     n, h = a.rows, (search_depth + 1) // 2

@@ -486,6 +486,41 @@ def test_cli_oversized_integer_exits_3(tmp_path, capsys):
     assert err.startswith(f"error: line 1: integer of {digits} digits") and len(err) < 200
 
 
+@pytest.mark.parametrize("token", ["1_0", "\uff11", "\u0663"])
+def test_text_integers_follow_json_grammar(capsys, monkeypatch, token):
+    # an underscore, a full-width 1 and an Arabic-Indic 3: int() reads all
+    # three and JSON none, and text takes what JSON takes, with a sign
+    message = f"line 2: token of {len(token)} characters is not an integer"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_matrix(f"1 2\n3 {token}\n")
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        parse_matrix(f'{{"rows": [[{token}]]}}')
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"1 2\n3 {token}\n"))
+    assert main(["invariants"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert parse_matrix("+1 -0\n007 -12") == IntMatrix([[1, 0], [7, -12]])
+
+
+class _UnreadableStdin:
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+@pytest.mark.parametrize("command", ["compare", "se-search", "conj-search"])
+def test_cli_pair_reads_stdin_once(tmp_path, capsys, monkeypatch, command):
+    # stdin holds one matrix: two - are refused before either is read, and
+    # one - with a file still works
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    assert main([command, "-", "-"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: only one of the two matrices can be read from stdin (-)\n",
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(A2_TEXT))
+    code = main([command, "-", _write(tmp_path, "b.txt", A3_TEXT)])
+    assert (code, capsys.readouterr().err) == (1 if command == "compare" else 0, "")
+
+
 def test_cli_se_search_skips_search_when_obstructed(tmp_path, capsys, monkeypatch):
     from ckbundle import sft
 

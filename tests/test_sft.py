@@ -212,6 +212,27 @@ def test_search_se_witness_work_is_bounded(monkeypatch):
     assert w is not None and verify_se_witness(c3, c3, w)
 
 
+def test_search_se_witness_stops_when_no_r_can_pair(monkeypatch):
+    # det a = 1 takes the solve route, and at E = 0 the only intertwiner is
+    # r = 0, which is singular: no lag can pair it, so the search ends after
+    # lag 1 and forms no power of a. Every box holds r = 0, so the r side is
+    # never empty
+    from ckbundle import sft
+
+    a, b = IntMatrix([[2, 1], [1, 1]]), IntMatrix([[1, 1], [1, 2]])
+    assert sft._intertwiners(a, b, 0) == [IntMatrix([[0, 0], [0, 0]])]
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(sft, "matmul", counting)
+    assert search_se_witness(a, b, max_lag=10_000, entry_bound=0) is None
+    assert len(calls) == 0
+    assert se_witness_by_enumeration(a.to_lists(), b.to_lists(), 3, 0) is None
+
+
 def test_search_se_witness_self_pairs_enumerate_once(monkeypatch):
     # the 4-cycle against itself at the defaults takes the solve path: one
     # enumeration (7^4 circulants), and r = 0 is dropped by its echelon. Its
@@ -764,6 +785,55 @@ def test_word_walk_stops_at_the_budget(monkeypatch):
     result = conjugacy_search(a, b, search_depth=8)
     assert result.status is ConjugacyStatus.CONJUGATE
     assert matmul(result.conjugator, a) == matmul(b, result.conjugator)
+
+
+def test_cached_balls_fit_the_entry_budget(monkeypatch):
+    # at a budget of 8,000 entries (40 per word up to 3x3, 47 at 4x4) the
+    # default-depth 2x2 and 3x3 balls, 22 + 134 words, fit together, and later
+    # walks push out the oldest balls, no more of them than the newest needs:
+    # the cache is the longest run of the latest walks that fits the budget
+    from ckbundle import sft
+
+    budget = 8000
+    monkeypatch.setattr(sft, "MAX_SEARCH_ENTRIES", budget)
+    monkeypatch.setattr(sft, "_balls", {})
+
+    def charge(shapes):
+        return sum(sizes[n, h] * (max(n, 3) ** 2 + 31) for n, h in shapes)
+
+    sizes, walked, caches = {}, [], []
+    for shape in [(2, 2), (3, 2), (4, 1), (2, 2), (2, 3), (1, 9), (3, 2), (4, 1), (2, 2)]:
+        if shape not in sft._balls:
+            walked.append(shape)
+        sizes[shape] = sum(1 for _ in sft._ball_words(*shape))
+        kept = list(sft._balls)
+        assert kept[-1] == walked[-1] and charge(kept) <= budget
+        assert kept == walked[len(walked) - len(kept) :]
+        if len(kept) < len(walked):  # the next older ball would not fit
+            assert charge([walked[-len(kept) - 1], *kept]) > budget
+        caches.append((kept, charge(kept)))
+    assert caches == [
+        ([(2, 2)], 880),
+        ([(2, 2), (3, 2)], 6240),
+        ([(2, 2), (3, 2), (4, 1)], 7462),
+        ([(2, 2), (3, 2), (4, 1)], 7462),  # read from the cache, not walked
+        ([(4, 1), (2, 3)], 3782),  # the two oldest go
+        ([(4, 1), (2, 3), (1, 9)], 3862),
+        ([(2, 3), (1, 9), (3, 2)], 8000),
+        ([(1, 9), (3, 2), (4, 1)], 6662),
+        ([(1, 9), (3, 2), (4, 1), (2, 2)], 7542),
+    ]
+    # a shape walked twice at once is cached as the newest ball
+    monkeypatch.setattr(sft, "_balls", {})
+    first, second = sft._ball_words(2, 2), sft._ball_words(2, 2)
+    next(second)
+    for _ in first:
+        pass
+    for _ in sft._ball_words(3, 2):
+        pass
+    for _ in second:
+        pass
+    assert list(sft._balls) == [(3, 2), (2, 2)]
 
 
 def test_word_budget_exceeds_every_ball_built(monkeypatch):
