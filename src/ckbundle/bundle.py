@@ -87,8 +87,9 @@ def nonnegative_representative(
     nonnegative, where A is the normalized monodromy.
 
     Returns the first hit in word-enumeration order, or None; a None is not
-    a proof that no nonnegative conjugate exists. Raises ValueError where
-    the word walk would pass its budget, sft.MAX_SEARCH_ENTRIES.
+    a proof that no nonnegative conjugate exists. The word walk drops the
+    oldest cached balls to make room, and raises ValueError only where it
+    alone would pass its budget, sft.MAX_SEARCH_ENTRIES.
     """
     normalized = normalize_monodromy(a).matrix
     for u, u_inv in sft.unimodular_words(a.rows, search_depth):

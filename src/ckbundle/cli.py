@@ -42,7 +42,9 @@ class _IntLiteral(str):
 
 def parse_matrix(text: str) -> IntMatrix:
     """Parse a matrix from either plain text (one whitespace-separated row
-    per line) or a JSON object with a "rows" key."""
+    per line) or a JSON object with a "rows" key, after one leading UTF-8
+    byte-order mark (U+FEFF) is dropped."""
+    text = text.removeprefix("\ufeff")
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty input")

@@ -323,9 +323,15 @@ def _adjugate(a: IntMatrix, k: int) -> tuple[int, Iterator[list[int]]]:
 
 
 def _adjugate_rows(a: IntMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(det a, the rows of adj(a)): _adjugate's columns, last first, read as rows."""
+    """(det a, the rows of adj(a))."""
     d, columns = _adjugate(a, a.rows)
-    return d, tuple(zip(*[*columns][::-1]))
+    return d, _as_rows(columns)
+
+
+def _as_rows(columns: Iterator[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows of adj(a) from _adjugate(a, a.rows)'s columns, which come last
+    first; each column is built only when read here."""
+    return tuple(zip(*[*columns][::-1]))
 
 
 def det(a: IntMatrix) -> int:
@@ -659,6 +665,6 @@ def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant d = +/-1: d·adj(a)."""
     _require_square(a, "unimodular_inverse")
-    d, rows = _adjugate_rows(a)
-    _require_unimodular(d, "matrix")
-    return IntMatrix._wrap(tuple(tuple(d * x for x in row) for row in rows))
+    d, columns = _adjugate(a, a.rows)
+    _require_unimodular(d, "matrix")  # before any column is built
+    return IntMatrix._wrap(tuple(tuple(d * x for x in row) for row in _as_rows(columns)))

@@ -39,7 +39,7 @@ __all__ = [
 # default entry bound 6, while a scalar 3x3 matrix (7^9 there) is refused.
 MAX_SE_CANDIDATES = 7**6
 
-# Most entries one word walk stores, and most the cached balls hold in all.
+# Most entries the cached balls and one word walk hold together.
 # Each n x n word is charged max(n, 3)^2 + 31 entries (_word_charge); the clamp
 # and the 31 are fitted, not measured, so that the walk keeps exactly 200,000
 # words at n <= 3 and admits the whole ball of the default search depth 4
@@ -151,6 +151,11 @@ def search_se_witness(
     (the r side itself when a = b) and scanned: each r@s is compared with a^lag
     one row at a time, and s@r is formed only when every row matched.
 
+    No entry of r@s exceeds m·E² (m = b.rows, E = entry_bound). When a has no
+    zero row, or no zero column, the largest entry of a^lag never decreases
+    as lag grows, so the search returns None at the first lag where it
+    exceeds m·E²: no later lag can pair either.
+
     Raises ValueError before enumerating when either side would have more
     than MAX_SE_CANDIDATES candidates; for square a and b of one size the
     two sides' systems have equal rank, so the r side decides.
@@ -163,8 +168,12 @@ def search_se_witness(
     else:
         ss = rs if a == b else _intertwiners(b, a, entry_bound)
         s_cols = [(s, tuple(zip(*s.entries))) for s in ss]
+    # with no zero row or no zero column, a^lag's largest entry never decreases
+    grows = all(map(any, a.entries)) or all(map(any, zip(*a.entries)))
     for lag in range(1, max_lag + 1):
         a_pow = a if lag == 1 else matmul(a_pow, a)
+        if grows and max(map(max, a_pow.entries)) > b.rows * entry_bound**2:
+            return None  # no r@s reaches a^lag, nor a later power
         if solve:
             a_cols = tuple(zip(*a_pow.entries))
             for i, r in enumerate(rs):
@@ -300,8 +309,9 @@ def _word_charge(n: int) -> int:
 
 
 def _word_limit(n: int) -> int:
-    """The most n x n words one walk may store within MAX_SEARCH_ENTRIES."""
-    return MAX_SEARCH_ENTRIES // _word_charge(n)
+    """The most n x n words a walk may hold beside the cached balls."""
+    cached = sum(len(b.words) * _word_charge(m) for (m, _), b in _balls.items())
+    return (MAX_SEARCH_ENTRIES - cached) // _word_charge(n)
 
 
 def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMatrix]]:
@@ -311,8 +321,8 @@ def unimodular_words(n: int, max_length: int) -> Iterator[tuple[IntMatrix, IntMa
     reproducible. Each word is its parent word times one generator, a column
     operation (its inverse a row operation). They are read from _ball_words,
     the walk conjugacy_search shares: a caller that stops early builds no
-    further word. Raises ValueError instead of walking past the budget
-    MAX_SEARCH_ENTRIES."""
+    further word. The walk drops the oldest cached balls to make room, and
+    raises ValueError only where it alone would pass MAX_SEARCH_ENTRIES."""
     for w, w_inv in _ball_words(n, max_length):
         yield _matrix(w, n), _matrix(w_inv, n)
 
@@ -351,16 +361,20 @@ def _ball_words(n: int, h: int) -> Iterator[tuple[tuple, tuple]]:
     repeats and then to find each inverse; the frontier is the last layer's
     index range. The walk stops at the first layer that adds no word and is
     cached only when it ends: a caller that stops at an early hit builds no
-    further word and caches nothing. Raises ValueError before it would hold
-    more than _word_limit(n) words. The cache keeps the newest balls whose
-    words, charged as in the walk, fit MAX_SEARCH_ENTRIES together."""
+    further word and caches nothing. Before each word is stored, the oldest
+    cached balls are dropped until they and the walk fit MAX_SEARCH_ENTRIES
+    together (make_room); with none left to drop, ValueError is raised."""
     ball = _balls.get((n, h))
     if ball is not None:
         yield from ball.words
         return
     _require_depth(h)
     ident = tuple(chain.from_iterable(IntMatrix.identity(n).entries))  # raises for n < 1
-    limit = _word_limit(n)
+    def make_room(held: int) -> int:  # drop the oldest balls until one more word fits
+        while (limit := _word_limit(n)) <= held and _balls:
+            del _balls[next(iter(_balls))]
+        return limit
+    limit = make_room(0)
     yield ident, ident
     words, steps, index = [(ident, ident)], [(-1, None)], {ident: 0}
     moves = _elementary_moves(n)
@@ -373,7 +387,7 @@ def _ball_words(n: int, h: int) -> Iterator[tuple[tuple, tuple]]:
                 s, columns, s_inv, rows = move
                 m = _apply(w, s, columns)
                 if m not in index:
-                    if len(words) == limit:
+                    if len(words) >= limit and len(words) >= (limit := make_room(len(words))):
                         raise ValueError(
                             f"word search would walk more than the limit {limit}"
                             f" words ({n}x{n}, length <= {h}); lower the search depth"
@@ -388,8 +402,6 @@ def _ball_words(n: int, h: int) -> Iterator[tuple[tuple, tuple]]:
     inverse = tuple(index[w_inv] for _, w_inv in words)
     _balls.pop((n, h), None)  # a shape walked twice at once
     _balls[n, h] = _Ball(tuple(words), tuple(steps), inverse, inner)
-    while sum(len(b.words) * _word_charge(m) for (m, _), b in _balls.items()) > MAX_SEARCH_ENTRIES:
-        del _balls[next(iter(_balls))]
 
 
 class ConjugacyStatus(Enum):
@@ -481,10 +493,10 @@ def conjugacy_search(a: IntMatrix, b: IntMatrix, search_depth: int = 4) -> Conju
     every conjugator. A word becomes an IntMatrix only for that full test or
     a certificate.
 
-    The walk stops at _word_limit(n) words (MAX_SEARCH_ENTRIES), which
-    admits the whole ball of the default depth for every n <= 12: a search
-    that needs more raises ValueError, unless its first-hit scan returns
-    before.
+    The walk makes room by dropping the oldest cached balls, then stops at
+    MAX_SEARCH_ENTRIES // _word_charge(n) words, which admits the whole ball
+    of the default depth for every n <= 12: a search that needs more raises
+    ValueError, unless its first-hit scan returns before.
     """
     return _search(_Profile(a), _Profile(b), search_depth)
 

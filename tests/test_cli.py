@@ -29,6 +29,27 @@ def test_parse_json_form():
     assert parse_matrix('{"rows": [[1, 2], [0, 1]]}') == IntMatrix([[1, 2], [0, 1]])
 
 
+def test_parse_drops_one_byte_order_mark():
+    # an editor that saves UTF-8 with a BOM puts U+FEFF before the first row
+    assert parse_matrix("\ufeff" + A2_TEXT) == A2
+    assert parse_matrix('\ufeff{"rows": [[5, 2], [2, 1]]}') == A2
+    with pytest.raises(ParseError, match="^line 1: token of 2 characters is not an integer$"):
+        parse_matrix("\ufeff\ufeff" + A2_TEXT)
+
+
+def test_cli_reads_a_byte_order_marked_file(tmp_path, capsys):
+    expected = []
+    for name, text in [("a2.txt", A2_TEXT), ("a2.json", '{"rows": [[5, 2], [2, 1]]}')]:
+        plain = _write(tmp_path, name, text)
+        marked = tmp_path / f"bom-{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["invariants", "--input", plain]) == 0
+        expected.append(capsys.readouterr())
+        assert main(["invariants", "--input", str(marked)]) == 0
+        assert capsys.readouterr() == expected[-1]
+    assert expected[0] == expected[1] and expected[0].err == ""
+
+
 def test_parse_errors():
     with pytest.raises(ParseError, match="line 2"):
         parse_matrix("1 2\n3\n")

@@ -1,13 +1,15 @@
 """Every name a ckbundle module imports is used there or exported through
 its __all__: a stdlib stand-in for a linter's unused-import rule. Only the
-modules in DATACLASS_MODULES import dataclasses."""
+modules in DATACLASS_MODULES import dataclasses. Every source and test file
+parses with Python 3.10's grammar."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ckbundle"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ckbundle"
 
 
 def unused_imports(source: str) -> set[str]:
@@ -63,3 +65,15 @@ def test_imported_modules_are_found():
 def test_dataclasses_only_where_allowed(path):
     if path.name not in DATACLASS_MODULES:
         assert "dataclasses" not in imported_modules(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_parses_as_python_3_10(path):
+    """pyproject.toml promises Python >= 3.10. This checks the grammar only
+    (say, no `except*` or PEP 695 type parameters), not which library
+    functions and arguments that version has."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -660,6 +660,26 @@ def test_unimodular_inverse():
         unimodular_inverse(IntMatrix([[0, 1], [2, 0]]))
 
 
+def test_unimodular_inverse_refuses_before_building_adj(monkeypatch):
+    # from 4x4 up each column of adj(a) is one _back_substitute; a matrix of
+    # det 2 is refused on its determinant, before any column is built
+    from ckbundle import intmat
+
+    calls, back_substitute = [], intmat._back_substitute
+
+    def counting(*args):
+        calls.append(None)
+        return back_substitute(*args)
+
+    monkeypatch.setattr(intmat, "_back_substitute", counting)
+    a = IntMatrix([[2 if i == j == 0 else int(j in (i, i + 1)) for j in range(5)] for i in range(5)])
+    with pytest.raises(NotUnimodular, match=r"^matrix has determinant 2, expected \+/-1$"):
+        unimodular_inverse(a)
+    assert calls == []
+    u = IntMatrix([[int(j in (i, i + 1)) for j in range(5)] for i in range(5)])
+    assert matmul(u, unimodular_inverse(u)) == IntMatrix.identity(5) and len(calls) == 5
+
+
 def _cofactor_column(rows, j):
     """Column j of adj(rows) from cofactor minors: (-1)^(i+j) M_ji."""
     n = len(rows)

@@ -233,6 +233,37 @@ def test_search_se_witness_stops_when_no_r_can_pair(monkeypatch):
     assert se_witness_by_enumeration(a.to_lists(), b.to_lists(), 3, 0) is None
 
 
+def test_search_se_witness_stops_once_a_power_outgrows_the_box(monkeypatch):
+    # no entry of r @ s exceeds 2 * 2^2 = 8 at E = 2, and a = [[0,1],[1,3]]
+    # has no zero row, so its powers' largest entry never decreases: a^2 holds
+    # 10, and the search ends there whatever max_lag is
+    from ckbundle import sft
+
+    a, b = IntMatrix([[0, 1], [1, 3]]), IntMatrix([[3, 1], [1, 0]])
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(sft, "matmul", counting)
+    assert search_se_witness(a, b, max_lag=40, entry_bound=2) is None
+    assert len(calls) == 1  # a^2 only
+    assert search_se_witness(a, b, max_lag=10**6, entry_bound=2) is None
+    assert len(calls) == 2
+    assert se_witness_by_enumeration(a.to_lists(), b.to_lists(), 4, 2) is None
+
+
+def test_search_se_witness_runs_every_lag_past_a_zero_row_and_column():
+    # a has a zero row and a zero column, so its powers may shrink: a^1 holds
+    # 3 > 2 * 1^2, yet a^2 = 0 = r @ s for r = s = 0
+    a = [[0, 3], [0, 0]]
+    expected = ([[0, 0], [0, 0]], [[0, 0], [0, 0]], 2)
+    assert se_witness_by_enumeration(a, a, 2, 1) == expected
+    w = search_se_witness(IntMatrix(a), IntMatrix(a), max_lag=2, entry_bound=1)
+    assert (w.r.to_lists(), w.s.to_lists(), w.lag) == expected
+
+
 def test_search_se_witness_self_pairs_enumerate_once(monkeypatch):
     # the 4-cycle against itself at the defaults takes the solve path: one
     # enumeration (7^4 circulants), and r = 0 is dropped by its echelon. Its
@@ -836,6 +867,44 @@ def test_cached_balls_fit_the_entry_budget(monkeypatch):
     assert list(sft._balls) == [(3, 2), (2, 2)]
 
 
+def test_word_walk_makes_room_as_it_grows(monkeypatch):
+    # one rule bounds the walk and the cache together: before each word is
+    # stored, the oldest cached balls go until the cache and the walk's words
+    # fit the budget, and a walk raises only with no ball left to drop
+    from ckbundle import sft
+
+    budget = 8000
+    monkeypatch.setattr(sft, "MAX_SEARCH_ENTRIES", budget)
+
+    def cached_charge():
+        return sum(len(b.words) * (max(n, 3) ** 2 + 31) for (n, _), b in sft._balls.items())
+
+    def cache_three():
+        monkeypatch.setattr(sft, "_balls", {})
+        for shape in [(2, 2), (3, 2), (4, 1)]:
+            for _ in sft._ball_words(*shape):
+                pass
+        assert list(sft._balls) == [(2, 2), (3, 2), (4, 1)] and cached_charge() == 7462
+
+    cache_three()
+    held = {}
+    for walked, _ in enumerate(sft._ball_words(2, 3), 1):
+        assert cached_charge() + walked * 40 <= budget
+        held[walked] = len(sft._balls)
+    # 538 spare entries hold 13 words; dropping the 2x2 ball (880) makes
+    # room for 35, and dropping the 3x3 ball (5,360) for 169, more than the
+    # ball's 64 words
+    assert [list(held.values()).count(k) for k in (3, 2, 1)] == [13, 22, 29]
+    assert list(sft._balls) == [(4, 1), (2, 3)]
+
+    cache_three()
+    walk = sft._ball_words(2, 5)
+    with pytest.raises(ValueError, match=r"limit 200 words \(2x2, length <= 5\)"):
+        for walked, _ in enumerate(walk, 1):
+            assert cached_charge() + walked * 40 <= budget
+    assert walked == 200 == budget // 40 and sft._balls == {}
+
+
 def test_word_budget_exceeds_every_ball_built(monkeypatch):
     # the default search depth 4 walks the ball of length <= 2, and the
     # budget admits it at every size the CLI takes without a warning, the
@@ -856,8 +925,10 @@ def test_word_budget_exceeds_every_ball_built(monkeypatch):
     monkeypatch.setattr(sft, "_elementary_moves", counting_moves)
     monkeypatch.setattr(sft, "_balls", {})  # both balls are walked, then dropped
     assert sum(1 for _ in sft._ball_words(6, 2)) == ball_size(6) == 2462
-    assert sum(1 for _ in sft._ball_words(12, 2)) == ball_size(12) == 40922 <= sft._word_limit(12)
+    assert sum(1 for _ in sft._ball_words(12, 2)) == ball_size(12) == 40922
     assert walks == [6, 12]
+    monkeypatch.setattr(sft, "_balls", {})  # the limits are read beside no cached ball
+    assert 40922 <= sft._word_limit(12)
     for n in range(2, SIZE_WARNING_THRESHOLD + 1):
         assert ball_size(n) <= sft._word_limit(n)
     assert [sft._word_limit(n) for n in (1, 2, 3)] == [200_000] * 3
