@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from itertools import product
 
@@ -348,6 +349,76 @@ def test_charpoly_at_scale_matches_determinants():
     assert p.degree == n
     assert p(0) == (-1) ** n * det(a)
     assert p(1) == det(identity_minus_transpose(a))
+
+
+def _coefficient_bound(rows):
+    """B = max_k e_k(r_1, ..., r_n) with r_i = isqrt(|row_i|^2) + 1, the
+    bound on every |c_k| that charpoly's modulus m = 2B + 1 rests on."""
+    e = [1]
+    for row in rows:
+        r = math.isqrt(sum(x * x for x in row)) + 1
+        e = [x + r * y for x, y in zip(e + [0], [0] + e)]
+    return max(e)
+
+
+def _large_charpoly_cases(rng):
+    """Square matrices on both sides of charpoly's cut-off. At n = 13..32:
+    dense signed, sparse 0/+-1, zero diagonal, block-triangular under a
+    permutation similarity, and upper Hessenberg with a zero subdiagonal
+    entry. At 13, 14 and 32: the identity, a scalar matrix, the nilpotent
+    shift."""
+    for n in (13, 14, 15, 16, 19, 24, 32):
+        yield random_matrix(rng, n, n, -9, 9)
+        yield IntMatrix([[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)])
+        yield IntMatrix([[0 if i == j else rng.randint(-4, 4) for j in range(n)] for i in range(n)])
+        cut = rng.randint(1, n - 1)
+        perm = rng.sample(range(n), n)
+        block = [
+            [rng.randint(-3, 3) if i < cut or j >= cut else 0 for j in range(n)] for i in range(n)
+        ]
+        yield IntMatrix([[block[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+        hessenberg = [[rng.randint(-5, 5) if j >= i - 1 else 0 for j in range(n)] for i in range(n)]
+        hessenberg[cut][cut - 1] = 0
+        yield IntMatrix(hessenberg)
+    for n in (13, 14, 32):
+        yield IntMatrix.identity(n)
+        yield IntMatrix.diagonal([-3] * n)
+        yield IntMatrix([[int(j == i + 1) for j in range(n)] for i in range(n)])
+
+
+def test_charpoly_and_berkowitz_match_faddeev_across_the_cut_off():
+    assert 13 < intmat._HESSENBERG_FROM <= 32
+    for a in _large_charpoly_cases(random.Random(44)):
+        expected = charpoly_faddeev(a.to_lists())
+        assert charpoly(a).coefficients == expected
+        assert intmat._berkowitz(a.entries) == expected
+
+
+def test_coefficients_stay_within_the_bound():
+    for a in [*_large_charpoly_cases(random.Random(45)), *_charpoly_cases(46)]:
+        bound = _coefficient_bound(a.entries)
+        assert all(abs(c) <= bound for c in charpoly(a).coefficients)
+
+
+def test_hessenberg_declines_without_a_unit_pivot():
+    # mod 15, column 0 holds 3 and 5 below the diagonal: nonzero, no unit
+    rows = ((1, 2, 0), (3, 0, 1), (5, 1, 1))
+    assert intmat._hessenberg_charpoly(rows, 15) is None
+    m = 2 * _coefficient_bound(rows) + 3
+    assert intmat._hessenberg_charpoly(rows, m) == charpoly_faddeev(rows)
+    # an input at the cut-off whose first modulus m is a multiple of 3 and
+    # whose first column is 0 mod 3: charpoly declines once, retries with m + 2
+    rng = random.Random(47)
+    n = intmat._HESSENBERG_FROM
+    while True:
+        a = random_matrix(rng, n, n, -4, 4)
+        a = IntMatrix([[3 * x if j == 0 else x for j, x in enumerate(row)] for row in a.entries])
+        m = 2 * _coefficient_bound(a.entries) + 1
+        if m % 3 == 0:
+            break
+    assert intmat._hessenberg_charpoly(a.entries, m) is None
+    assert charpoly(a).coefficients == charpoly_faddeev(a.to_lists())
+
 
 def test_polynomial_normalization_and_eval():
     p = IntPolynomial((1, -6, 1, 0, 0))

@@ -8,17 +8,21 @@ a row and column permutation, I - A^t of the sparse ones, and unimodular
 words. A raised exception is written as its type and message. The sha256 of
 that text is pinned. A change that makes intmat._echelon or the solves on
 it faster must leave it as it is.
+
+CHARPOLY_DIGEST pins the charpoly outputs the same way, on a second seeded
+corpus at n = 1..32 that spans both of its routes.
 """
 
 import hashlib
 import random
 
-from ckbundle import IntMatrix, det, smith_diagonal, unimodular_inverse
+from ckbundle import IntMatrix, charpoly, det, smith_diagonal, unimodular_inverse
 from ckbundle.intmat import _adjugate
 
 from conftest import identity_minus_transpose, random_unimodular
 
 DIGEST = "66d85c7bc65350d169b180b6fa802b7942d4f28e265d75000256ef0996857702"
+CHARPOLY_DIGEST = "045b13a7c946108756fa8fd4159e7f1a7fa2de56c78e167f46c6b05c25aaff63"
 
 
 def _outcome(call):
@@ -88,3 +92,29 @@ def corpus_text():
 
 def test_kernel_outputs_are_pinned():
     assert hashlib.sha256(corpus_text().encode()).hexdigest() == DIGEST
+
+
+def charpoly_corpus(rng):
+    """Square matrices n = 1..32 in a fixed order: dense signed, sparse 0/1,
+    zero diagonal, cyclic-imprimitive, permuted block-triangular, unimodular
+    L·U (unit lower times unit upper triangular) and I - A^t."""
+    for n in range(1, 33):
+        yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        yield _sparse(rng, n, 0.2, 1)
+        yield [[0 if i == j else rng.randint(-4, 4) for j in range(n)] for i in range(n)]
+        yield _imprimitive(rng, n, rng.randint(2, 4))
+        yield _permuted_block_triangular(rng, n)
+        lower, upper = (
+            IntMatrix(
+                [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+            )
+            for _ in range(2)
+        )
+        yield (lower @ IntMatrix(list(zip(*upper.entries)))).to_lists()
+        yield identity_minus_transpose(IntMatrix(_sparse(rng, n, 0.3, 3))).to_lists()
+
+
+def test_charpoly_outputs_are_pinned():
+    rng = random.Random(3312)
+    text = "".join(f"{charpoly(IntMatrix(rows)).coefficients}\n" for rows in charpoly_corpus(rng))
+    assert hashlib.sha256(text.encode()).hexdigest() == CHARPOLY_DIGEST
